@@ -1,0 +1,107 @@
+"""Golden output: the full text that ``cobeq check``, ``normalize`` and
+``render --format json`` print for a fixed set of inputs.
+
+The expected text lives in ``tests/golden/``.  Refactors of the value layer
+must leave it byte-identical.  To regenerate after an intended change of
+output, run ``python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from cobeq import cli
+from cobeq import protocols
+from cobeq import syntax as sx
+
+GOLDEN = Path(__file__).parent / "golden"
+BASICS = Path(__file__).parent.parent / "corpus" / "basics.ccc"
+
+CONTROLS = {
+    "teleportation": protocols.teleportation_legs_perturbed,
+    "swap": protocols.entanglement_swap_legs_perturbed,
+}
+BASICS_LETS = ("loop", "turn_12")
+
+
+def control_source(name: str) -> str:
+    left, right = CONTROLS[name]()
+    gens = " ".join(protocols.ALPHABET.names)
+    return f"gens {gens};\ncheck {sx.print_term(left)} == {sx.print_term(right)};\n"
+
+
+def _check_output(name: str, workdir: Path) -> tuple[int, str]:
+    """Exit status and stdout of ``cobeq check`` on a perturbed control,
+    run from workdir so that the printed path is the bare file name."""
+    filename = f"{name}_perturbed.ccc"
+    (workdir / filename).write_text(control_source(name), encoding="utf-8")
+    return _capture(["check", filename], workdir)
+
+
+def _capture(argv: list[str], workdir: Path) -> tuple[int, str]:
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            status = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return status, out.getvalue()
+
+
+def _render_json(name: str, workdir: Path) -> str:
+    target = workdir / f"{name}.json"
+    status, _ = _capture(["render", str(BASICS), name, "--format", "json",
+                          "-o", str(target)], workdir)
+    assert status == 0
+    return target.read_text(encoding="utf-8")
+
+
+def _outputs(workdir: Path) -> dict[str, str]:
+    """Every golden file name mapped to the text it must hold."""
+    outputs = {}
+    for name in CONTROLS:
+        status, text = _check_output(name, workdir)
+        assert status == 1
+        outputs[f"check_{name}_perturbed.out"] = text
+    for name in BASICS_LETS:
+        status, text = _capture(["normalize", str(BASICS), name], workdir)
+        assert status == 0
+        outputs[f"normalize_{name}.json"] = text
+        outputs[f"render_{name}.json"] = _render_json(name, workdir)
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLS))
+def test_check_perturbed_control(name, tmp_path):
+    status, text = _check_output(name, tmp_path)
+    assert status == 1
+    assert text == (GOLDEN / f"check_{name}_perturbed.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", BASICS_LETS)
+def test_normalize_basics(name, tmp_path):
+    status, text = _capture(["normalize", str(BASICS), name], tmp_path)
+    assert status == 0
+    assert text == (GOLDEN / f"normalize_{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", BASICS_LETS)
+def test_render_json_basics(name, tmp_path):
+    text = _render_json(name, tmp_path)
+    assert text == (GOLDEN / f"render_{name}.json").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for filename, text in _outputs(Path(tmp)).items():
+            (GOLDEN / filename).write_text(text, encoding="utf-8")
+            print(GOLDEN / filename, file=sys.stderr)
