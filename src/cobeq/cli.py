@@ -4,7 +4,8 @@ Subcommands: ``check`` evaluates every check statement of a source file,
 ``normalize`` prints the matrix form of a named term as JSON, ``render``
 writes a drawing of a named term's canonical matrix, ``protocol`` runs the
 bundled protocol verifications.  Exit status is 0 on success, 1 when some
-checked equality fails, 2 on usage, parse or type errors.
+checked equality fails, 2 on usage, parse or type errors, 3 when the input
+is nested too deeply to evaluate.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ def run_check(path: str) -> int:
         if not verdict.equal:
             failures += 1
             i, j = verdict.diff_at
+            src = interp.interp_object(verdict.source)[j]
+            tgt = interp.interp_object(verdict.target)[i]
             print(f"  first difference at entry ({i},{j}):")
-            print(f"    left:  {json.dumps(cobsum_json(verdict.left_entry, doc.alphabet), sort_keys=True)}")
-            print(f"    right: {json.dumps(cobsum_json(verdict.right_entry, doc.alphabet), sort_keys=True)}")
+            for side, entry in (("left: ", verdict.left_entry), ("right:", verdict.right_entry)):
+                payload = cobsum_json(entry, src, tgt, doc.alphabet)
+                print(f"    {side} {json.dumps(payload, sort_keys=True)}")
     return 1 if failures else 0
 
 
@@ -64,7 +68,8 @@ def run_normalize(path: str, name: str) -> int:
         out_row = []
         for cell in row:
             if len(cell.tgt) == 1 and len(cell.src) == 1:
-                out_row.append(cobsum_json(cell.entries[0][0], doc.alphabet))
+                out_row.append(cobsum_json(cell.entries[0][0], cell.src[0],
+                                           cell.tgt[0], doc.alphabet))
             else:
                 out_row.append(None)
         entries.append(out_row)
@@ -169,6 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply (Python recursion limit exceeded)",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

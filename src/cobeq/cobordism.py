@@ -126,30 +126,31 @@ def circle(label: GroupWord | CyclicWord) -> GCob:
     return gcob(O, O, (), (label,))
 
 
-def compose(f: GCob, g: GCob) -> GCob:
-    """Glue f: a -> b with g: b -> c along b, yielding a -> c.
+def compose(after: GCob, before: GCob) -> GCob:
+    """The composite after o before: glue before: a -> b with after: b -> c
+    along b, yielding a -> c.
 
     Chains of segments become one segment whose label is the product of the
     glued labels, later factor on the left; chains that close up become
     circles in their cyclic normal form.
     """
-    if f.tgt != g.src:
-        raise TypeMismatch(f"cannot glue {f.tgt} with {g.src}")
+    if before.tgt != after.src:
+        raise TypeMismatch(f"cannot glue {before.tgt} with {after.src}")
 
-    def f_node(p: Point):
+    def before_node(p: Point):
         return ("a", p[1]) if p[0] == SRC else ("m", p[1])
 
-    def g_node(p: Point):
+    def after_node(p: Point):
         return ("m", p[1]) if p[0] == SRC else ("c", p[1])
 
     edges: dict[tuple, tuple[tuple, GroupWord]] = {}
-    for s in f.segments:
-        edges[f_node(s.start)] = (f_node(s.end), s.label)
-    for s in g.segments:
-        edges[g_node(s.start)] = (g_node(s.end), s.label)
+    for s in before.segments:
+        edges[before_node(s.start)] = (before_node(s.end), s.label)
+    for s in after.segments:
+        edges[after_node(s.start)] = (after_node(s.end), s.label)
 
-    starts = [("a", i) for i, sign in enumerate(f.src) if sign == PLUS]
-    starts += [("c", i) for i, sign in enumerate(g.tgt) if sign == MINUS]
+    starts = [("a", i) for i, sign in enumerate(before.src) if sign == PLUS]
+    starts += [("c", i) for i, sign in enumerate(after.tgt) if sign == MINUS]
 
     def boundary_point(node) -> Point:
         kind, i = node
@@ -168,7 +169,7 @@ def compose(f: GCob, g: GCob) -> GCob:
                 break
         segments.append(Segment(boundary_point(n0), boundary_point(node), label))
 
-    circles = list(f.circles) + list(g.circles)
+    circles = list(before.circles) + list(after.circles)
     for n0 in edges:
         if n0 in visited or n0[0] != "m":
             continue
@@ -182,7 +183,7 @@ def compose(f: GCob, g: GCob) -> GCob:
                 break
         circles.append(cyclic_canonical(label))
 
-    return gcob(f.src, g.tgt, segments, circles)
+    return gcob(before.src, after.tgt, segments, circles)
 
 
 def tensor(f: GCob, g: GCob) -> GCob:
@@ -306,10 +307,6 @@ def sigma(a: ObjectSeq, b: ObjectSeq) -> GCob:
     n, m = len(a), len(b)
     perm = [m + i for i in range(n)] + [j for j in range(m)]
     return permutation(a + b, perm)
-
-
-def equality(f: GCob, g: GCob) -> bool:
-    return f == g
 
 
 def sort_key(f: GCob):

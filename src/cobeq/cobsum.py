@@ -1,8 +1,11 @@
-"""Formal sums of cobordisms: finite multisets with a common type.
+"""Formal sums of cobordisms: finite multisets of equally typed members.
 
-The empty multiset is the zero arrow.  Addition is multiset union,
-composition and tensor act on all pairs of members, so cardinalities
-multiply.  Multiplicities are plain non-negative integers.
+A multiset does not store its type: the row and column objects of the
+matrix that holds it fix that.  Every member of a nonempty multiset has the
+same type; the empty multiset ``ZERO`` is the zero arrow of every type.
+Addition is multiset union, composition and tensor act on all pairs of
+members, so cardinalities multiply.  Multiplicities are plain non-negative
+integers.
 """
 
 from __future__ import annotations
@@ -16,36 +19,36 @@ from .freegroup import Alphabet, DEFAULT_ALPHABET
 
 @dataclass(frozen=True)
 class CobSum:
-    src: ObjectSeq
-    tgt: ObjectSeq
     terms: tuple[tuple[GCob, int], ...]
 
 
-def cobsum(src, tgt, members) -> CobSum:
+ZERO = CobSum(())
+
+
+def cobsum(members) -> CobSum:
     """Multiset of cobordisms; members is an iterable of GCob or
-    (GCob, multiplicity) pairs."""
-    src = tuple(src)
-    tgt = tuple(tgt)
+    (GCob, multiplicity) pairs, all of one type."""
     counts: dict[GCob, int] = {}
+    first = None
     for member in members:
         g, k = member if isinstance(member, tuple) else (member, 1)
         if k < 0:
             raise ValueError("multiplicities are non-negative")
         if k == 0:
             continue
-        if g.src != src or g.tgt != tgt:
-            raise TypeMismatch(f"member typed {g.src}->{g.tgt}, expected {src}->{tgt}")
+        if first is None:
+            first = g
+        elif g.src != first.src or g.tgt != first.tgt:
+            raise TypeMismatch(f"member typed {g.src}->{g.tgt}, "
+                               f"expected {first.src}->{first.tgt}")
         counts[g] = counts.get(g, 0) + k
-    terms = tuple(sorted(counts.items(), key=lambda kv: cob.sort_key(kv[0])))
-    return CobSum(src, tgt, terms)
-
-
-def zero(a: ObjectSeq, b: ObjectSeq) -> CobSum:
-    return CobSum(tuple(a), tuple(b), ())
+    if not counts:
+        return ZERO
+    return CobSum(tuple(sorted(counts.items(), key=lambda kv: cob.sort_key(kv[0]))))
 
 
 def single(g: GCob) -> CobSum:
-    return cobsum(g.src, g.tgt, [g])
+    return cobsum([g])
 
 
 def is_zero(x: CobSum) -> bool:
@@ -58,47 +61,35 @@ def size(x: CobSum) -> int:
 
 
 def add(x: CobSum, y: CobSum) -> CobSum:
-    if x.src != y.src or x.tgt != y.tgt:
-        raise TypeMismatch("sum of differently typed multisets")
-    return cobsum(x.src, x.tgt, x.terms + y.terms)
+    return cobsum(x.terms + y.terms)
 
 
-def compose(x: CobSum, y: CobSum) -> CobSum:
-    """All pairwise gluings of x: a -> b with y: b -> c."""
-    if x.tgt != y.src:
-        raise TypeMismatch(f"cannot glue {x.tgt} with {y.src}")
-    members = []
-    for g1, k1 in x.terms:
-        for g2, k2 in y.terms:
-            members.append((cob.compose(g1, g2), k1 * k2))
-    return cobsum(x.src, y.tgt, members)
+def compose(after: CobSum, before: CobSum) -> CobSum:
+    """All pairwise gluings ``after o before`` of the members."""
+    return cobsum([(cob.compose(ga, gb), ka * kb)
+                   for ga, ka in after.terms for gb, kb in before.terms])
 
 
 def tensor(x: CobSum, y: CobSum) -> CobSum:
-    members = []
-    for g1, k1 in x.terms:
-        for g2, k2 in y.terms:
-            members.append((cob.tensor(g1, g2), k1 * k2))
-    return cobsum(x.src + y.src, x.tgt + y.tgt, members)
+    return cobsum([(cob.tensor(g1, g2), k1 * k2)
+                   for g1, k1 in x.terms for g2, k2 in y.terms])
 
 
 def dagger(x: CobSum) -> CobSum:
-    return cobsum(x.tgt, x.src, [(cob.dagger(g), k) for g, k in x.terms])
+    return cobsum([(cob.dagger(g), k) for g, k in x.terms])
 
 
 def star(x: CobSum) -> CobSum:
-    """Elementwise transpose, typed b* -> a*."""
-    return cobsum(
-        cob.dual_object(x.tgt),
-        cob.dual_object(x.src),
-        [(cob.transpose_star(g), k) for g, k in x.terms],
-    )
+    """Elementwise transpose: members a -> b become b* -> a*."""
+    return cobsum([(cob.transpose_star(g), k) for g, k in x.terms])
 
 
-def to_jsonable(x: CobSum, alphabet: Alphabet = DEFAULT_ALPHABET) -> dict:
+def to_jsonable(x: CobSum, src: ObjectSeq, tgt: ObjectSeq,
+                alphabet: Alphabet = DEFAULT_ALPHABET) -> dict:
+    """JSON form of x as an entry typed src -> tgt."""
     return {
-        "src": ["+" if s == cob.PLUS else "-" for s in x.src],
-        "tgt": ["+" if s == cob.PLUS else "-" for s in x.tgt],
+        "src": ["+" if s == cob.PLUS else "-" for s in src],
+        "tgt": ["+" if s == cob.PLUS else "-" for s in tgt],
         "terms": [
             {"cobordism": cob.to_jsonable(g, alphabet), "multiplicity": k}
             for g, k in x.terms

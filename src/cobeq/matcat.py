@@ -4,6 +4,8 @@ Objects are finite lists of sign sequences; the empty list is the zero
 object, distinct from the singleton list holding the empty sequence (the
 tensor unit).  An arrow from an n-list to an m-list is an m x n grid of
 multiset entries, composed by matrix multiplication over (add, compose).
+The matrix alone owns the types: entry (i, j) is typed src[j] -> tgt[i],
+and every zero entry is the one untyped ``cobsum.ZERO``.
 The compact closed structure is strict: associativity and unit arrows are
 identity matrices, tensor is the Kronecker product, dual acts componentwise.
 """
@@ -37,11 +39,15 @@ def matarrow(src, tgt, entries) -> MatArrow:
     rows = tuple(tuple(row) for row in entries)
     if len(rows) != len(tgt) or any(len(row) != len(src) for row in rows):
         raise ValueError("entry grid does not match the row/column objects")
+    # cobsum() gives all members of a multiset one type, so the first
+    # member's type is the entry's.
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if x.src != src[j] or x.tgt != tgt[i]:
-                raise TypeMismatch(f"entry ({i},{j}) typed {x.src}->{x.tgt}, "
-                                   f"expected {src[j]}->{tgt[i]}")
+            if x.terms:
+                g = x.terms[0][0]
+                if g.src != src[j] or g.tgt != tgt[i]:
+                    raise TypeMismatch(f"entry ({i},{j}) typed {g.src}->{g.tgt}, "
+                                       f"expected {src[j]}->{tgt[i]}")
     return MatArrow(src, tgt, rows)
 
 
@@ -63,7 +69,7 @@ def identity(a: ObjList) -> MatArrow:
     n = len(a)
     rows = [
         [
-            cs.single(cob.identity(a[i])) if i == j else cs.zero(a[j], a[i])
+            cs.single(cob.identity(a[i])) if i == j else cs.ZERO
             for j in range(n)
         ]
         for i in range(n)
@@ -73,30 +79,30 @@ def identity(a: ObjList) -> MatArrow:
 
 def zero(a: ObjList, b: ObjList) -> MatArrow:
     a, b = tuple(a), tuple(b)
-    rows = [[cs.zero(a[j], b[i]) for j in range(len(a))] for i in range(len(b))]
+    rows = [[cs.ZERO] * len(a) for _ in b]
     return matarrow(a, b, rows)
 
 
-def compose(first: MatArrow, second: MatArrow) -> MatArrow:
-    """Categorical composite first o second (second applied first).
+def compose(after: MatArrow, before: MatArrow) -> MatArrow:
+    """Categorical composite after o before (before applied first).
 
     Composition through the zero object has an empty middle index, so the
-    result is the typed zero matrix.
+    result is the zero matrix.
     """
-    if first.src != second.tgt:
-        raise TypeMismatch(f"middle objects differ: {first.src} vs {second.tgt}")
-    a, b, c = second.src, second.tgt, first.tgt
+    if after.src != before.tgt:
+        raise TypeMismatch(f"middle objects differ: {after.src} vs {before.tgt}")
+    a, b, c = before.src, before.tgt, after.tgt
     rows = []
     for i in range(len(c)):
         row = []
         for j in range(len(a)):
-            acc = cs.zero(a[j], c[i])
+            acc = cs.ZERO
             for k in range(len(b)):
-                left = first.entries[i][k]
-                right = second.entries[k][j]
-                if cs.is_zero(left) or cs.is_zero(right):
+                x = after.entries[i][k]
+                y = before.entries[k][j]
+                if cs.is_zero(x) or cs.is_zero(y):
                     continue
-                acc = cs.add(acc, cs.compose(right, left))
+                acc = cs.add(acc, cs.compose(x, y))
             row.append(acc)
         rows.append(row)
     return matarrow(a, c, rows)
@@ -133,9 +139,9 @@ def oplus(x: MatArrow, y: MatArrow) -> MatArrow:
     n1, n2 = len(x.src), len(y.src)
     rows = []
     for i in range(len(x.tgt)):
-        rows.append(list(x.entries[i]) + [cs.zero(src[n1 + j], x.tgt[i]) for j in range(n2)])
+        rows.append(list(x.entries[i]) + [cs.ZERO] * n2)
     for i in range(len(y.tgt)):
-        rows.append([cs.zero(src[j], y.tgt[i]) for j in range(n1)] + list(y.entries[i]))
+        rows.append([cs.ZERO] * n1 + list(y.entries[i]))
     return matarrow(src, tgt, rows)
 
 
@@ -160,7 +166,7 @@ def pi1(a: ObjList, b: ObjList) -> MatArrow:
     a, b = tuple(a), tuple(b)
     src = oplus_obj(a, b)
     rows = [
-        list(identity(a).entries[i]) + [cs.zero(b[j], a[i]) for j in range(len(b))]
+        list(identity(a).entries[i]) + [cs.ZERO] * len(b)
         for i in range(len(a))
     ]
     return matarrow(src, a, rows)
@@ -170,7 +176,7 @@ def pi2(a: ObjList, b: ObjList) -> MatArrow:
     a, b = tuple(a), tuple(b)
     src = oplus_obj(a, b)
     rows = [
-        [cs.zero(a[j], b[i]) for j in range(len(a))] + list(identity(b).entries[i])
+        [cs.ZERO] * len(a) + list(identity(b).entries[i])
         for i in range(len(b))
     ]
     return matarrow(src, b, rows)
@@ -191,7 +197,7 @@ def sigma(a: ObjList, b: ObjList) -> MatArrow:
     n, m = len(a), len(b)
     src = tensor_obj(a, b)
     tgt = tensor_obj(b, a)
-    rows = [[cs.zero(src[c], tgt[r]) for c in range(n * m)] for r in range(m * n)]
+    rows = [[cs.ZERO] * (n * m) for _ in range(m * n)]
     for i in range(n):
         for j in range(m):
             rows[j * n + i][i * m + j] = cs.single(cob.sigma(a[i], b[j]))
@@ -203,7 +209,7 @@ def eta(a: ObjList) -> MatArrow:
     a = tuple(a)
     n = len(a)
     tgt = tensor_obj(dual_obj(a), a)
-    rows = [[cs.zero(cob.O, tgt[r])] for r in range(n * n)]
+    rows = [[cs.ZERO] for _ in range(n * n)]
     for k in range(n):
         rows[k * (n + 1)][0] = cs.single(cob.eta(a[k]))
     return matarrow(UNIT, tgt, rows)
@@ -214,7 +220,7 @@ def eps(a: ObjList) -> MatArrow:
     a = tuple(a)
     n = len(a)
     src = tensor_obj(a, dual_obj(a))
-    row = [cs.zero(src[c], cob.O) for c in range(n * n)]
+    row = [cs.ZERO] * (n * n)
     for k in range(n):
         row[k * (n + 1)] = cs.single(cob.eps(a[k]))
     return matarrow(src, UNIT, [row])
@@ -298,7 +304,7 @@ def to_jsonable(x: MatArrow, alphabet: Alphabet = DEFAULT_ALPHABET) -> dict:
         "cols": [fmt_obj(a) for a in x.src],
         "rows": [fmt_obj(b) for b in x.tgt],
         "entries": [
-            [cs.to_jsonable(e, alphabet) for e in row]
-            for row in x.entries
+            [cs.to_jsonable(e, a, b, alphabet) for a, e in zip(x.src, row)]
+            for b, row in zip(x.tgt, x.entries)
         ],
     }

@@ -17,7 +17,7 @@ Files declare generators first (``gens b1 b2;``) and then ``let`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
 from .freegroup import Alphabet, DEFAULT_ALPHABET
@@ -417,17 +417,9 @@ def tau_term(a: Obj, b: Obj, c: Obj) -> Term:
     return tuple_term([Tens(Id(a), Pi1(b, c)), Tens(Id(a), Pi2(b, c))])
 
 
-def tau_inv_term(a: Obj, b: Obj, c: Obj) -> Term:
-    return cotuple_term([Tens(Id(a), Iota1(b, c)), Tens(Id(a), Iota2(b, c))])
-
-
 def upsilon_term(a: Obj, b: Obj, c: Obj) -> Term:
     """Distributivity (a (+) b) (x) c -> (a (x) c) (+) (b (x) c)."""
     return tuple_term([Tens(Pi1(a, b), Id(c)), Tens(Pi2(a, b), Id(c))])
-
-
-def upsilon_inv_term(a: Obj, b: Obj, c: Obj) -> Term:
-    return cotuple_term([Tens(Iota1(a, b), Id(c)), Tens(Iota2(a, b), Id(c))])
 
 
 def upsilon_n(parts: list[Obj], c: Obj) -> Term:
@@ -545,11 +537,16 @@ def print_obj(a: Obj) -> str:
 
 _T_ATOM, _T_POST, _T_TENSOR, _T_OPLUS, _T_PLUS, _T_COMP = 5, 4, 3, 2, 1, 0
 
-_PRIM_NAMES = {
-    Id: "id", Alpha: "alpha", AlphaInv: "alpha_inv", Lam: "lam",
-    LamInv: "lam_inv", SigmaT: "sigma", Eta: "eta", Eps: "eps",
-    Pi1: "pi1", Pi2: "pi2", Iota1: "iota1", Iota2: "iota2", ZeroT: "zero",
+# Keyword of each structural primitive.  The parser accepts every keyword;
+# the printer writes the first one listed for a class.
+_PRIM_BUILD = {
+    "id": Id, "alpha": Alpha, "alpha_inv": AlphaInv, "alphainv": AlphaInv,
+    "lam": Lam, "lam_inv": LamInv, "laminv": LamInv, "sigma": SigmaT,
+    "eta": Eta, "eps": Eps, "pi1": Pi1, "pi2": Pi2, "iota1": Iota1,
+    "iota2": Iota2, "zero": ZeroT,
 }
+_PRIM_ARITY = {word: len(fields(cls)) for word, cls in _PRIM_BUILD.items()}
+_PRIM_NAMES = {cls: word for word, cls in reversed(_PRIM_BUILD.items())}
 
 
 def _print_term(t: Term, level: int) -> str:
@@ -695,20 +692,6 @@ class Document:
     alphabet: Alphabet
     lets: dict[str, Term]
     checks: list[CheckStmt]
-
-
-_PRIM_ARITY = {
-    "id": 1, "alpha": 3, "alpha_inv": 3, "alphainv": 3, "lam": 1,
-    "lam_inv": 1, "laminv": 1, "sigma": 2, "eta": 1, "eps": 1,
-    "pi1": 2, "pi2": 2, "iota1": 2, "iota2": 2, "zero": 2,
-}
-
-_PRIM_BUILD = {
-    "id": Id, "alpha": Alpha, "alpha_inv": AlphaInv, "alphainv": AlphaInv,
-    "lam": Lam, "lam_inv": LamInv, "laminv": LamInv, "sigma": SigmaT,
-    "eta": Eta, "eps": Eps, "pi1": Pi1, "pi2": Pi2, "iota1": Iota1,
-    "iota2": Iota2, "zero": ZeroT,
-}
 
 
 class _Parser:

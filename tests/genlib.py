@@ -58,7 +58,7 @@ def rand_cobsum(rng: random.Random, a: cob.ObjectSeq, b: cob.ObjectSeq,
         g = rand_gcob(rng, a, b)
         if g is not None:
             members.append(g)
-    return cs.cobsum(a, b, members)
+    return cs.cobsum(members)
 
 
 def rand_nonzero_cobsum(rng: random.Random, max_tries: int = 50) -> cs.CobSum:
@@ -83,7 +83,7 @@ def rand_mat(rng: random.Random, a: mc.ObjList, b: mc.ObjList) -> mc.MatArrow:
 def rand_scalar_mat(rng: random.Random) -> mc.MatArrow:
     members = [rand_closed_gcob(rng, min_circles=0)
                for _ in range(rng.randint(0, 2))]
-    entry = cs.cobsum(cob.O, cob.O, members)
+    entry = cs.cobsum(members)
     return mc.matarrow(mc.UNIT, mc.UNIT, [[entry]])
 
 

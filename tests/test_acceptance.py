@@ -216,7 +216,7 @@ def test_criterion_8_negative_controls():
         a, b, c = (gl.rand_objseq(rng) for _ in range(3))
         x = gl.rand_cobsum(rng, a, b)
         y = gl.rand_cobsum(rng, b, c)
-        assert cs.size(cs.compose(x, y)) == cs.size(x) * cs.size(y)
+        assert cs.size(cs.compose(y, x)) == cs.size(x) * cs.size(y)
         done += 1
     print("ACCEPTANCE 8: PASS perturbed corrections break teleportation; "
           "composition cardinality multiplies on 200 pairs")

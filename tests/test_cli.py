@@ -196,3 +196,16 @@ def test_normalize_teleportation_diagonal(capsys):
         (member,) = entry["terms"]
         (segment,) = member["cobordism"]["segments"]
         assert segment["label"] == "e"
+
+
+def test_check_too_deep_exit_three(corpus):
+    # Nesting past the Python recursion limit is an internal limit, not a
+    # refutation: one error line and exit 3, never a traceback and exit 1.
+    term = "(" * 200 + "b1" + ")" * 200
+    path = corpus("deep.ccc", f"gens b1;\ncheck {term} == b1;\n")
+    proc = subprocess.run([sys.executable, "-m", "cobeq.cli", "check", path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

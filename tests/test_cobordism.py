@@ -41,7 +41,7 @@ def test_compose_multiplies_labels_later_on_left():
     f = cob.gcob(a, a, [seg((SRC, 0), (TGT, 0), fg.gen(0))])
     g = cob.gcob(a, a, [seg((SRC, 0), (TGT, 0), fg.gen(1))])
     expected = cob.gcob(a, a, [seg((SRC, 0), (TGT, 0), fg.mul(fg.gen(1), fg.gen(0)))])
-    assert cob.compose(f, g) == expected
+    assert cob.compose(g, f) == expected
 
 
 def test_compose_identity_neutral():
@@ -51,14 +51,14 @@ def test_compose_identity_neutral():
         f = gl.rand_gcob(rng, a, b)
         if f is None:
             continue
-        assert cob.compose(f, cob.identity(b)) == f
-        assert cob.compose(cob.identity(a), f) == f
+        assert cob.compose(cob.identity(b), f) == f
+        assert cob.compose(f, cob.identity(a)) == f
 
 
 def test_trace_loop_closes_to_circle():
     # cap followed by the matching cup closes into one neutral circle
     a = cob.seq("+")
-    loop = cob.compose(cob.eta(a), cob.eps(cob.dual_object(a)))
+    loop = cob.compose(cob.eps(cob.dual_object(a)), cob.eta(a))
     assert loop == cob.circle(fg.E)
 
     # with a labeled strand in between, the circle keeps the label class
@@ -66,7 +66,7 @@ def test_trace_loop_closes_to_circle():
     strand = cob.gcob(
         cob.seq("-+"), cob.seq("-+"),
         [seg((TGT, 0), (SRC, 0)), seg((SRC, 1), (TGT, 1), wlab)])
-    loop = cob.compose(cob.compose(cob.eta(a), strand), cob.eps(cob.dual_object(a)))
+    loop = cob.compose(cob.eps(cob.dual_object(a)), cob.compose(strand, cob.eta(a)))
     assert loop == cob.circle(wlab)
 
 
@@ -74,7 +74,7 @@ def test_compose_type_mismatch():
     f = cob.identity(cob.seq("+"))
     g = cob.identity(cob.seq("-"))
     with pytest.raises(cob.TypeMismatch):
-        cob.compose(f, g)
+        cob.compose(g, f)
 
 
 def test_tensor_of_identities():
@@ -145,12 +145,12 @@ def test_triangle_equalities():
         a = gl.rand_objseq(rng, 3)
         astar = cob.dual_object(a)
         first = cob.compose(
-            cob.tensor(cob.identity(a), cob.eta(a)),
-            cob.tensor(cob.eps(a), cob.identity(a)))
+            cob.tensor(cob.eps(a), cob.identity(a)),
+            cob.tensor(cob.identity(a), cob.eta(a)))
         assert first == cob.identity(a)
         second = cob.compose(
-            cob.tensor(cob.eta(a), cob.identity(astar)),
-            cob.tensor(cob.identity(astar), cob.eps(a)))
+            cob.tensor(cob.identity(astar), cob.eps(a)),
+            cob.tensor(cob.eta(a), cob.identity(astar)))
         assert second == cob.identity(astar)
 
 
@@ -159,7 +159,7 @@ def test_eps_dagger_is_swapped_eta():
     for _ in range(30):
         a = gl.rand_objseq(rng, 3)
         lhs = cob.dagger(cob.eps(a))
-        rhs = cob.compose(cob.eta(a), cob.sigma(cob.dual_object(a), a))
+        rhs = cob.compose(cob.sigma(cob.dual_object(a), a), cob.eta(a))
         assert lhs == rhs
 
 
@@ -177,9 +177,9 @@ def test_name_coname_match_their_composites():
         if f is None:
             continue
         astar, bstar = cob.dual_object(a), cob.dual_object(b)
-        built_name = cob.compose(cob.eta(a), cob.tensor(cob.identity(astar), f))
+        built_name = cob.compose(cob.tensor(cob.identity(astar), f), cob.eta(a))
         assert cob.name(f) == built_name
-        built_coname = cob.compose(cob.tensor(f, cob.identity(bstar)), cob.eps(b))
+        built_coname = cob.compose(cob.eps(b), cob.tensor(f, cob.identity(bstar)))
         assert cob.coname(f) == built_coname
 
 
@@ -192,10 +192,10 @@ def test_transpose_star_matches_composite():
             continue
         astar, bstar = cob.dual_object(a), cob.dual_object(b)
         composite = cob.compose(
+            cob.tensor(cob.identity(astar), cob.eps(b)),
             cob.compose(
-                cob.tensor(cob.eta(a), cob.identity(bstar)),
-                cob.tensor(cob.tensor(cob.identity(astar), f), cob.identity(bstar))),
-            cob.tensor(cob.identity(astar), cob.eps(b)))
+                cob.tensor(cob.tensor(cob.identity(astar), f), cob.identity(bstar)),
+                cob.tensor(cob.eta(a), cob.identity(bstar))))
         assert cob.transpose_star(f) == composite
 
 
@@ -216,7 +216,7 @@ def test_permutation_sigma():
         frozenset(((SRC, 1), (TGT, 0))),
     }
     a, b = cob.seq("+-"), cob.seq("-+")
-    assert cob.compose(cob.sigma(a, b), cob.sigma(b, a)) == cob.identity(a + b)
+    assert cob.compose(cob.sigma(b, a), cob.sigma(a, b)) == cob.identity(a + b)
 
 
 def test_permutation_rejects_sign_mismatch():
@@ -234,7 +234,7 @@ def test_compose_associative_random():
         if None in (f, g, h):
             continue
         done += 1
-        assert cob.compose(cob.compose(f, g), h) == cob.compose(f, cob.compose(g, h))
+        assert cob.compose(h, cob.compose(g, f)) == cob.compose(cob.compose(h, g), f)
 
 
 def test_dagger_laws_random():
@@ -246,7 +246,7 @@ def test_dagger_laws_random():
         if None in (f, g):
             continue
         done += 1
-        assert cob.dagger(cob.compose(f, g)) == cob.compose(cob.dagger(g), cob.dagger(f))
+        assert cob.dagger(cob.compose(g, f)) == cob.compose(cob.dagger(f), cob.dagger(g))
         assert cob.dagger(cob.tensor(f, g)) == cob.tensor(cob.dagger(f), cob.dagger(g))
 
 

@@ -5,6 +5,7 @@ import pytest
 from cobeq import cobordism as cob
 from cobeq import cobsum as cs
 from cobeq import freegroup as fg
+from cobeq import matcat as mc
 
 import genlib as gl
 from conftest import SEED
@@ -26,14 +27,17 @@ def test_add_zero_neutral_and_assoc():
         x = gl.rand_cobsum(rng, a, b)
         y = gl.rand_cobsum(rng, a, b)
         z = gl.rand_cobsum(rng, a, b)
-        assert cs.add(x, cs.zero(a, b)) == x
+        assert cs.add(x, cs.ZERO) == x
         assert cs.add(x, y) == cs.add(y, x)
         assert cs.add(cs.add(x, y), z) == cs.add(x, cs.add(y, z))
 
 
 def test_add_type_mismatch():
+    # Zero multisets carry no type; the matrices that hold them do.
     with pytest.raises(cob.TypeMismatch):
-        cs.add(cs.zero(cob.seq("+"), cob.O), cs.zero(cob.seq("-"), cob.O))
+        mc.add(mc.zero((cob.seq("+"),), mc.UNIT), mc.zero((cob.seq("-"),), mc.UNIT))
+    with pytest.raises(cob.TypeMismatch):
+        cs.add(cs.single(cob.identity(cob.seq("+"))), cs.single(cob.identity(cob.seq("-"))))
 
 
 def test_compose_cardinality_multiplies():
@@ -41,19 +45,19 @@ def test_compose_cardinality_multiplies():
     f = cob.identity(a)
     lab = cob.gcob(a, a, [cob.Segment((cob.SRC, 0), (cob.TGT, 0), fg.gen(0))])
     lab2 = cob.gcob(a, a, [cob.Segment((cob.SRC, 0), (cob.TGT, 0), fg.gen(1))])
-    x = cs.cobsum(a, a, [f, lab])
-    y = cs.cobsum(a, a, [f, lab, lab2])
+    x = cs.cobsum([f, lab])
+    y = cs.cobsum([f, lab, lab2])
     assert cs.size(x) == 2 and cs.size(y) == 3
-    assert cs.size(cs.compose(x, y)) == 6
+    assert cs.size(cs.compose(y, x)) == 6
 
 
 def test_compose_zero_annihilates():
     rng = random.Random(SEED + 1)
     for _ in range(30):
-        a, b, c = (gl.rand_objseq(rng) for _ in range(3))
+        a, b = gl.rand_objseq(rng), gl.rand_objseq(rng)
         x = gl.rand_cobsum(rng, a, b)
-        assert cs.compose(x, cs.zero(b, c)) == cs.zero(a, c)
-        assert cs.compose(cs.zero(c, a), x) == cs.zero(c, b)
+        assert cs.compose(cs.ZERO, x) == cs.ZERO
+        assert cs.compose(x, cs.ZERO) == cs.ZERO
 
 
 def test_compose_identity_neutral():
@@ -61,17 +65,19 @@ def test_compose_identity_neutral():
     for _ in range(30):
         a, b = gl.rand_objseq(rng), gl.rand_objseq(rng)
         y = gl.rand_cobsum(rng, a, b)
-        assert cs.compose(cs.single(cob.identity(a)), y) == y
-        assert cs.compose(y, cs.single(cob.identity(b))) == y
+        assert cs.compose(y, cs.single(cob.identity(a))) == y
+        assert cs.compose(cs.single(cob.identity(b)), y) == y
 
 
 def test_tensor_with_zero():
     rng = random.Random(SEED + 3)
     a, b = cob.seq("+"), cob.seq("-")
-    y = gl.rand_cobsum(rng, cob.seq("+-"), cob.seq("-+"))
-    z = cs.tensor(cs.zero(a, b), y)
-    assert cs.is_zero(z)
-    assert z.src == a + y.src and z.tgt == b + y.tgt
+    c, d = cob.seq("+-"), cob.seq("-+")
+    y = gl.rand_cobsum(rng, c, d)
+    assert cs.is_zero(cs.tensor(cs.ZERO, y))
+    # the matrix tensor types the zero result from its row and column objects
+    z = mc.tensor(mc.zero((a,), (b,)), mc.matarrow((c,), (d,), [[y]]))
+    assert z == mc.zero((a + c,), (b + d,))
 
 
 def test_dagger_additive_and_elementwise():
@@ -92,19 +98,19 @@ def test_composition_bilinear():
         x1 = gl.rand_cobsum(rng, a, b)
         x2 = gl.rand_cobsum(rng, a, b)
         y = gl.rand_cobsum(rng, b, c)
-        assert (cs.compose(cs.add(x1, x2), y)
-                == cs.add(cs.compose(x1, y), cs.compose(x2, y)))
+        assert (cs.compose(y, cs.add(x1, x2))
+                == cs.add(cs.compose(y, x1), cs.compose(y, x2)))
         y1, y2 = gl.rand_cobsum(rng, b, c), gl.rand_cobsum(rng, b, c)
-        assert (cs.compose(x1, cs.add(y1, y2))
-                == cs.add(cs.compose(x1, y1), cs.compose(x1, y2)))
+        assert (cs.compose(cs.add(y1, y2), x1)
+                == cs.add(cs.compose(y1, x1), cs.compose(y2, x1)))
 
 
 def test_multiset_equality_order_insensitive_multiplicity_sensitive():
     a = cob.seq("+")
     f = cob.identity(a)
     g = cob.gcob(a, a, [cob.Segment((cob.SRC, 0), (cob.TGT, 0), fg.gen(2))])
-    assert cs.cobsum(a, a, [f, g]) == cs.cobsum(a, a, [g, f])
-    assert cs.cobsum(a, a, [f, g, g]) != cs.cobsum(a, a, [f, f, g])
+    assert cs.cobsum([f, g]) == cs.cobsum([g, f])
+    assert cs.cobsum([f, g, g]) != cs.cobsum([f, f, g])
 
 
 def test_star_additive():
