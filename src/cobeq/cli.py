@@ -39,10 +39,11 @@ def _named_term(doc: sx.Document, name: str):
 
 def run_check(path: str) -> int:
     doc = _load(path)
+    context = interp.EvalContext(doc.alphabet)
     failures = 0
     for stmt in doc.checks:
         try:
-            verdict = interp.equal(stmt.left, stmt.right, doc.alphabet)
+            verdict = interp.equal(stmt.left, stmt.right, doc.alphabet, context)
         except TypeCheckError as exc:
             raise TypeCheckError(f"{path}:{stmt.line}: {exc}") from None
         status = "EQUAL" if verdict.equal else "UNEQUAL"
@@ -50,8 +51,8 @@ def run_check(path: str) -> int:
         if not verdict.equal:
             failures += 1
             i, j = verdict.diff_at
-            src = interp.interp_object(verdict.source)[j]
-            tgt = interp.interp_object(verdict.target)[i]
+            src = interp.interp_object(verdict.source, context)[j]
+            tgt = interp.interp_object(verdict.target, context)[i]
             print(f"  first difference at entry ({i},{j}):")
             for side, entry in (("left: ", verdict.left_entry), ("right:", verdict.right_entry)):
                 payload = cobsum_json(entry, src, tgt, doc.alphabet)

@@ -61,6 +61,10 @@ def size(x: CobSum) -> int:
 
 
 def add(x: CobSum, y: CobSum) -> CobSum:
+    if not x.terms:
+        return y
+    if not y.terms:
+        return x
     return cobsum(x.terms + y.terms)
 
 

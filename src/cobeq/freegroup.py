@@ -67,9 +67,17 @@ class GroupWord:
 E = GroupWord()
 
 
+def _reduced(letters: tuple[Letter, ...]) -> GroupWord:
+    """Wrap letters that are freely reduced by construction, skipping the
+    letter-by-letter check of ``GroupWord(...)``."""
+    w = object.__new__(GroupWord)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def word(letters: Iterable[Letter]) -> GroupWord:
     """Build a word from raw letters, freely reducing them."""
-    return GroupWord(_reduce(letters))
+    return _reduced(_reduce(letters))
 
 
 def gen(index: int, exponent: int = 1) -> GroupWord:
@@ -77,12 +85,28 @@ def gen(index: int, exponent: int = 1) -> GroupWord:
 
 
 def mul(w1: GroupWord, w2: GroupWord) -> GroupWord:
-    """Product w1*w2 in the free group (reduced concatenation)."""
-    return word(w1.letters + w2.letters)
+    """Product w1*w2 in the free group.
+
+    Both factors are reduced, so letters can cancel only where they meet:
+    the cost is that of the cancellation plus one concatenation.
+    """
+    a, b = w1.letters, w2.letters
+    if not a:
+        return w2
+    if not b:
+        return w1
+    n = 0
+    limit = min(len(a), len(b))
+    while n < limit:
+        (g1, e1), (g2, e2) = a[-1 - n], b[n]
+        if g1 != g2 or e1 != -e2:
+            break
+        n += 1
+    return _reduced(a[:len(a) - n] + b[n:])
 
 
 def inverse(w: GroupWord) -> GroupWord:
-    return GroupWord(tuple((g, -e) for g, e in reversed(w.letters)))
+    return _reduced(tuple((g, -e) for g, e in reversed(w.letters)))
 
 
 def _letter_key(letter: Letter) -> tuple[int, int]:
@@ -114,7 +138,8 @@ def cyclic_canonical(w: GroupWord) -> CyclicWord:
         return CYCLIC_E
     rotations = (tuple(ls[i:] + ls[:i]) for i in range(len(ls)))
     best = min(rotations, key=lambda rot: [_letter_key(x) for x in rot])
-    return CyclicWord(GroupWord(best))
+    # Every rotation of a cyclically reduced word is reduced.
+    return CyclicWord(_reduced(best))
 
 
 def cyclic_inverse(c: CyclicWord) -> CyclicWord:

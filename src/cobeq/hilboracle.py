@@ -16,6 +16,7 @@ from . import cobsum as cs
 from . import syntax as sx
 from .cobordism import GCob
 from .freegroup import Alphabet, DEFAULT_ALPHABET, GroupWord
+from .interp import default_context
 from .syntax import (
     Alpha,
     AlphaInv,
@@ -104,6 +105,8 @@ def eval_numeric(t: Term, assignment: Assignment | None = None,
 
     Assignment values must be invertible 2x2 matrices; for terms containing
     daggers they must be unitary, since generator daggers denote inverses.
+    Each distinct subterm is evaluated once.  Types are memoised in
+    `interp.default_context(alphabet)`.
     """
     if assignment is None:
         assignment = PAULI_ASSIGNMENT
@@ -112,11 +115,18 @@ def eval_numeric(t: Term, assignment: Assignment | None = None,
             raise ValueError(f"assignment for {name!r} is not 2x2")
         if abs(np.linalg.det(mat)) < 1e-12:
             raise ValueError(f"assignment for {name!r} is not invertible")
-    sx.typecheck(t, alphabet)
-    return _eval(t, assignment, alphabet)
+    sx.typecheck(t, alphabet, default_context(alphabet).types)
+    # Values are shared between the subterms that use them, so no array
+    # here is ever modified in place.
+    values: dict[Term, np.ndarray] = {}
+    for node in sx.subterms(t):
+        values[node] = _eval_node(node, assignment, values)
+    return values[t]
 
 
-def _eval(t: Term, assignment: Assignment, alphabet: Alphabet) -> np.ndarray:
+def _eval_node(t: Term, assignment: Assignment,
+               values: dict[Term, np.ndarray]) -> np.ndarray:
+    """Matrix of one node, given the matrices of its immediate subterms."""
     match t:
         case Gen(name):
             return assignment[name]
@@ -135,32 +145,25 @@ def _eval(t: Term, assignment: Assignment, alphabet: Alphabet) -> np.ndarray:
         case Eps(a):
             return _cup(dim_of(a)).T
         case Pi1(a, b):
-            da, db = dim_of(a), dim_of(b)
-            return np.hstack([np.eye(da, dtype=complex),
-                              np.zeros((da, db), dtype=complex)])
+            return np.eye(dim_of(a) + dim_of(b), dtype=complex)[:dim_of(a)]
         case Pi2(a, b):
-            da, db = dim_of(a), dim_of(b)
-            return np.hstack([np.zeros((db, da), dtype=complex),
-                              np.eye(db, dtype=complex)])
+            return np.eye(dim_of(a) + dim_of(b), dtype=complex)[dim_of(a):]
         case Iota1(a, b):
-            return _eval(Pi1(a, b), assignment, alphabet).T
+            return np.eye(dim_of(a) + dim_of(b), dtype=complex)[:, :dim_of(a)]
         case Iota2(a, b):
-            return _eval(Pi2(a, b), assignment, alphabet).T
+            return np.eye(dim_of(a) + dim_of(b), dtype=complex)[:, dim_of(a):]
         case ZeroT(a, b):
             return np.zeros((dim_of(b), dim_of(a)), dtype=complex)
         case Dagger(body):
-            return _eval(body, assignment, alphabet).conj().T
+            return values[body].conj().T
         case Tens(left, right):
-            return np.kron(_eval(left, assignment, alphabet),
-                           _eval(right, assignment, alphabet))
+            return np.kron(values[left], values[right])
         case Direct(left, right):
-            return _block_diag(_eval(left, assignment, alphabet),
-                               _eval(right, assignment, alphabet))
+            return _block_diag(values[left], values[right])
         case Plus(left, right):
-            return (_eval(left, assignment, alphabet)
-                    + _eval(right, assignment, alphabet))
+            return values[left] + values[right]
         case Comp(after, before):
-            return _eval(after, assignment, alphabet) @ _eval(before, assignment, alphabet)
+            return values[after] @ values[before]
     raise ValueError(f"not a term: {t!r}")
 
 
@@ -168,11 +171,13 @@ def agree(f: Term, g: Term, tol: float = 1e-9,
           assignment: Assignment | None = None,
           alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
     """Whether f and g evaluate to numerically equal matrices."""
-    fs, ft = sx.typecheck(f, alphabet)
-    gs, gt = sx.typecheck(g, alphabet)
+    types = default_context(alphabet).types
+    fs, ft = sx.typecheck(f, alphabet, types)
+    gs, gt = sx.typecheck(g, alphabet, types)
     if (fs, ft) != (gs, gt):
         raise sx.TypeCheckError("endpoint mismatch")
-    diff = eval_numeric(f, assignment, alphabet) - eval_numeric(g, assignment, alphabet)
+    diff = (eval_numeric(f, assignment, alphabet)
+            - eval_numeric(g, assignment, alphabet))
     if diff.size == 0:
         return True
     return float(np.max(np.abs(diff))) <= tol

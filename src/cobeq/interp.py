@@ -55,14 +55,75 @@ QUBIT_SEQ: cob.ObjectSeq = (cob.PLUS,)
 
 
 # ---------------------------------------------------------------------------
+# the evaluation context
+
+
+class EvalContext:
+    """Owner of every evaluation cache for one generator alphabet.
+
+    ``types`` holds the endpoints of terms, ``objects`` the object lists of
+    object formulas, ``families`` the injection/projection families of
+    object formulas and ``matrices`` the canonical matrices of terms, with
+    the hits and misses of that last cache.  All are keyed by hash-consed
+    syntax nodes, so one lookup costs one cached hash and an identity test.
+    `cobeq check` uses one context per document; calls that pass none share
+    `default_context`.
+    """
+
+    def __init__(self, alphabet: Alphabet = DEFAULT_ALPHABET):
+        self.alphabet = alphabet
+        self.types: dict[Term, tuple[Obj, Obj]] = {}
+        self.objects: dict[Obj, ObjList] = {}
+        self.families: dict[Obj, InjProjFamily] = {}
+        self.matrices: dict[Term, MatArrow] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def sizes(self) -> dict[str, int]:
+        """Number of entries in each cache."""
+        return {"types": len(self.types), "objects": len(self.objects),
+                "families": len(self.families), "matrices": len(self.matrices)}
+
+    def clear(self) -> None:
+        """Empty every cache and reset the counters."""
+        for cache in (self.types, self.objects, self.families, self.matrices):
+            cache.clear()
+        self.hits = self.misses = 0
+
+
+_default: EvalContext | None = None
+
+
+def default_context(alphabet: Alphabet | None = None) -> EvalContext:
+    """The context of calls that pass none.  It is kept across calls, so
+    the checks of one document share their caches, until a call names an
+    alphabet other than its own, which replaces it by a fresh one."""
+    global _default
+    if _default is None or (alphabet is not None and _default.alphabet != alphabet):
+        _default = EvalContext(DEFAULT_ALPHABET if alphabet is None else alphabet)
+    return _default
+
+
+def _context(alphabet: Alphabet | None, context: EvalContext | None) -> EvalContext:
+    """``context``, or without one the default context for ``alphabet``
+    (`DEFAULT_ALPHABET` if that is None too).  An alphabet given alongside
+    a context must be the context's own."""
+    if context is None:
+        return default_context(DEFAULT_ALPHABET if alphabet is None else alphabet)
+    if alphabet is not None and alphabet is not context.alphabet \
+            and alphabet != context.alphabet:
+        raise ValueError("the alphabet given is not the context's alphabet")
+    return context
+
+
+# ---------------------------------------------------------------------------
 # objects
 
-_OBJ_CACHE: dict[Obj, ObjList] = {}
 
-
-def interp_object(a: Obj) -> ObjList:
+def interp_object(a: Obj, context: EvalContext | None = None) -> ObjList:
     """Object list denoted by an object formula."""
-    hit = _OBJ_CACHE.get(a)
+    ctx = context or default_context()
+    hit = ctx.objects.get(a)
     if hit is not None:
         return hit
     match a:
@@ -73,14 +134,14 @@ def interp_object(a: Obj) -> ObjList:
         case ObjZero():
             result = mc.ZERO_OBJ
         case Star(arg):
-            result = mc.dual_obj(interp_object(arg))
+            result = mc.dual_obj(interp_object(arg, ctx))
         case TensorO(left, right):
-            result = mc.tensor_obj(interp_object(left), interp_object(right))
+            result = mc.tensor_obj(interp_object(left, ctx), interp_object(right, ctx))
         case OplusO(left, right):
-            result = mc.oplus_obj(interp_object(left), interp_object(right))
+            result = mc.oplus_obj(interp_object(left, ctx), interp_object(right, ctx))
         case _:
             raise ValueError(f"not an object formula: {a!r}")
-    _OBJ_CACHE[a] = result
+    ctx.objects[a] = result
     return result
 
 
@@ -96,10 +157,7 @@ class InjProjFamily:
     projections: tuple[Term, ...]
 
 
-_INJ_CACHE: dict[Obj, InjProjFamily] = {}
-
-
-def inj_proj(a: Obj) -> InjProjFamily:
+def inj_proj(a: Obj, context: EvalContext | None = None) -> InjProjFamily:
     """Sum-free components of a with their injection and projection terms.
 
     Defined by induction on a: leaves are their own single component; a
@@ -107,14 +165,15 @@ def inj_proj(a: Obj) -> InjProjFamily:
     the transposed projections as injections and vice versa; a direct sum
     concatenates, composed with the binary injections or projections.
     """
-    hit = _INJ_CACHE.get(a)
+    ctx = context or default_context()
+    hit = ctx.families.get(a)
     if hit is not None:
         return hit
     match a:
         case ObjP() | ObjI() | ObjZero():
             fam = InjProjFamily(a, (a,), (Id(a),), (Id(a),))
         case TensorO(a1, a2):
-            f1, f2 = inj_proj(a1), inj_proj(a2)
+            f1, f2 = inj_proj(a1, ctx), inj_proj(a2, ctx)
             n2 = len(f2.components)
             comps, injs, projs = [], [], []
             for i in range(len(f1.components) * n2):
@@ -124,13 +183,13 @@ def inj_proj(a: Obj) -> InjProjFamily:
                 projs.append(Tens(f1.projections[i1], f2.projections[i2]))
             fam = InjProjFamily(a, tuple(comps), tuple(injs), tuple(projs))
         case Star(a1):
-            f1 = inj_proj(a1)
+            f1 = inj_proj(a1, ctx)
             comps = tuple(Star(c) for c in f1.components)
-            injs = tuple(sx.star_term(p) for p in f1.projections)
-            projs = tuple(sx.star_term(i) for i in f1.injections)
+            injs = tuple(sx.star_term(p, ctx.alphabet, ctx.types) for p in f1.projections)
+            projs = tuple(sx.star_term(i, ctx.alphabet, ctx.types) for i in f1.injections)
             fam = InjProjFamily(a, comps, injs, projs)
         case OplusO(a1, a2):
-            f1, f2 = inj_proj(a1), inj_proj(a2)
+            f1, f2 = inj_proj(a1, ctx), inj_proj(a2, ctx)
             comps = f1.components + f2.components
             injs = tuple(Comp(Iota1(a1, a2), i) for i in f1.injections)
             injs += tuple(Comp(Iota2(a1, a2), i) for i in f2.injections)
@@ -139,7 +198,7 @@ def inj_proj(a: Obj) -> InjProjFamily:
             fam = InjProjFamily(a, comps, injs, projs)
         case _:
             raise ValueError(f"not an object formula: {a!r}")
-    _INJ_CACHE[a] = fam
+    ctx.families[a] = fam
     return fam
 
 
@@ -147,19 +206,23 @@ def inj_proj(a: Obj) -> InjProjFamily:
 # the interpretation functor
 
 
-_H_CACHE: dict[tuple, MatArrow] = {}
-
-
-def H(t: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> MatArrow:
-    """Canonical matrix denoted by a well-typed term."""
-    key = (t, alphabet.names)
-    hit = _H_CACHE.get(key)
+def H(t: Term, alphabet: Alphabet | None = None,
+      context: EvalContext | None = None) -> MatArrow:
+    """Canonical matrix denoted by a well-typed term, memoised in
+    ``context``, by default `default_context(alphabet)`.  The alphabet is
+    the context's; naming another one raises ValueError."""
+    ctx = _context(alphabet, context)
+    hit = ctx.matrices.get(t)
     if hit is not None:
+        ctx.hits += 1
         return hit
-    result = _eval(t, alphabet)
-    src, tgt = sx.typecheck(t, alphabet)
-    assert result.src == interp_object(src) and result.tgt == interp_object(tgt)
-    _H_CACHE[key] = result
+    ctx.misses += 1
+    src, tgt = sx.typecheck(t, ctx.alphabet, ctx.types)
+    result = _eval(t, ctx)
+    if result.src != interp_object(src, ctx) or result.tgt != interp_object(tgt, ctx):
+        raise AssertionError(f"the matrix of a {type(t).__name__} term does not "
+                             "have the term's type")
+    ctx.matrices[t] = result
     return result
 
 
@@ -170,45 +233,45 @@ def _generator_matrix(name: str, alphabet: Alphabet, exponent: int) -> MatArrow:
     return mc.matarrow((QUBIT_SEQ,), (QUBIT_SEQ,), [[cs.single(g)]])
 
 
-def _eval(t: Term, alphabet: Alphabet) -> MatArrow:
+def _eval(t: Term, ctx: EvalContext) -> MatArrow:
     match t:
         case Gen(name):
-            return _generator_matrix(name, alphabet, 1)
+            return _generator_matrix(name, ctx.alphabet, 1)
         case GenInv(name):
-            return _generator_matrix(name, alphabet, -1)
+            return _generator_matrix(name, ctx.alphabet, -1)
         case Id(a):
-            return mc.identity(interp_object(a))
+            return mc.identity(interp_object(a, ctx))
         case Alpha(a, b, c) | AlphaInv(a, b, c):
-            src, _ = sx.typecheck(t, alphabet)
-            return mc.identity(interp_object(src))
+            src, _ = sx.typecheck(t, ctx.alphabet, ctx.types)
+            return mc.identity(interp_object(src, ctx))
         case Lam(a) | LamInv(a):
-            return mc.identity(interp_object(a))
+            return mc.identity(interp_object(a, ctx))
         case SigmaT(a, b):
-            return mc.sigma(interp_object(a), interp_object(b))
+            return mc.sigma(interp_object(a, ctx), interp_object(b, ctx))
         case Eta(a):
-            return mc.eta(interp_object(a))
+            return mc.eta(interp_object(a, ctx))
         case Eps(a):
-            return mc.eps(interp_object(a))
+            return mc.eps(interp_object(a, ctx))
         case Pi1(a, b):
-            return mc.pi1(interp_object(a), interp_object(b))
+            return mc.pi1(interp_object(a, ctx), interp_object(b, ctx))
         case Pi2(a, b):
-            return mc.pi2(interp_object(a), interp_object(b))
+            return mc.pi2(interp_object(a, ctx), interp_object(b, ctx))
         case Iota1(a, b):
-            return mc.iota1(interp_object(a), interp_object(b))
+            return mc.iota1(interp_object(a, ctx), interp_object(b, ctx))
         case Iota2(a, b):
-            return mc.iota2(interp_object(a), interp_object(b))
+            return mc.iota2(interp_object(a, ctx), interp_object(b, ctx))
         case ZeroT(a, b):
-            return mc.zero(interp_object(a), interp_object(b))
+            return mc.zero(interp_object(a, ctx), interp_object(b, ctx))
         case Dagger(body):
-            return mc.dagger(H(body, alphabet))
+            return mc.dagger(H(body, context=ctx))
         case Tens(left, right):
-            return mc.tensor(H(left, alphabet), H(right, alphabet))
+            return mc.tensor(H(left, context=ctx), H(right, context=ctx))
         case Direct(left, right):
-            return mc.oplus(H(left, alphabet), H(right, alphabet))
+            return mc.oplus(H(left, context=ctx), H(right, context=ctx))
         case Plus(left, right):
-            return mc.add(H(left, alphabet), H(right, alphabet))
+            return mc.add(H(left, context=ctx), H(right, context=ctx))
         case Comp(after, before):
-            return mc.compose(H(after, alphabet), H(before, alphabet))
+            return mc.compose(H(after, context=ctx), H(before, context=ctx))
     raise ValueError(f"not a term: {t!r}")
 
 
@@ -226,15 +289,16 @@ class MatrixForm:
 def matrix_form(u: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> MatrixForm:
     """The grid of values of proj_i o u o inj_j over the sum-free
     components of u's endpoints."""
-    src, tgt = sx.typecheck(u, alphabet)
-    fam_a = inj_proj(src)
-    fam_b = inj_proj(tgt)
+    ctx = default_context(alphabet)
+    src, tgt = sx.typecheck(u, ctx.alphabet, ctx.types)
+    fam_a = inj_proj(src, ctx)
+    fam_b = inj_proj(tgt, ctx)
     rows = []
     for i in range(len(fam_b.components)):
         row = []
         for j in range(len(fam_a.components)):
             entry = Comp(fam_b.projections[i], Comp(u, fam_a.injections[j]))
-            row.append(H(entry, alphabet))
+            row.append(H(entry, context=ctx))
         rows.append(tuple(row))
     return MatrixForm(fam_b.components, fam_a.components, tuple(rows))
 
@@ -311,17 +375,21 @@ class Verdict:
     right_entry: cs.CobSum | None = None
 
 
-def equal(f: Term, g: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Verdict:
+def equal(f: Term, g: Term, alphabet: Alphabet | None = None,
+          context: EvalContext | None = None) -> Verdict:
     """Decide equality of two terms with identical endpoints by comparing
-    their canonical matrices; on failure report the first differing entry."""
-    fs, ft = sx.typecheck(f, alphabet)
-    gs, gt = sx.typecheck(g, alphabet)
+    their canonical matrices; on failure report the first differing entry.
+    Caches live in ``context``, by default `default_context(alphabet)`; the
+    alphabet is the context's, and naming another one raises ValueError."""
+    ctx = _context(alphabet, context)
+    fs, ft = sx.typecheck(f, ctx.alphabet, ctx.types)
+    gs, gt = sx.typecheck(g, ctx.alphabet, ctx.types)
     if (fs, ft) != (gs, gt):
         raise sx.TypeCheckError(
             f"endpoint mismatch: {sx.print_obj(fs)} -> {sx.print_obj(ft)} "
             f"vs {sx.print_obj(gs)} -> {sx.print_obj(gt)}")
-    hf = H(f, alphabet)
-    hg = H(g, alphabet)
+    hf = H(f, context=ctx)
+    hg = H(g, context=ctx)
     if hf == hg:
         return Verdict(True, fs, ft, value=hf)
     for i, (row_f, row_g) in enumerate(zip(hf.entries, hg.entries)):

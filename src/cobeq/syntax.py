@@ -17,6 +17,7 @@ Files declare generators first (``gens b1 b2;``) and then ``let`` and
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields
 from functools import reduce
 
@@ -24,37 +25,83 @@ from .freegroup import Alphabet, DEFAULT_ALPHABET
 
 
 # ---------------------------------------------------------------------------
+# hash-consing
+
+# Live nodes by (class, *fields).  Held weakly: a node nobody references
+# leaves the table, so a long-lived process does not keep dead terms.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Node:
+    """Base of the object formula and term nodes, which are hash-consed
+    (Filliâtre and Conchon, "Type-safe modular hash-consing", 2006).
+
+    Building a node returns the one live node of equal structure, so equal
+    structure is one object: ``==`` is identity, and the hash is computed
+    once, at construction, from the cached hashes of the children.  Caches
+    keyed by nodes therefore cost O(1) per lookup whatever the term's size.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            names = cls.__match_args__
+            if len(args) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} arguments, "
+                                f"got {len(args)}")
+            node = object.__new__(cls)
+            for name, value in zip(names, args):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", hash(key))
+            _NODES[key] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# Fields are set once, by _Node.__new__; eq=False keeps identity equality.
+_node = dataclass(frozen=True, eq=False, init=False, slots=True)
+
+
+# ---------------------------------------------------------------------------
 # object formulas
 
 
-@dataclass(frozen=True)
-class ObjP:
+@_node
+class ObjP(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class ObjI:
+@_node
+class ObjI(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class ObjZero:
+@_node
+class ObjZero(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class Star:
+@_node
+class Star(_Node):
     arg: "Obj"
 
 
-@dataclass(frozen=True)
-class TensorO:
+@_node
+class TensorO(_Node):
     left: "Obj"
     right: "Obj"
 
 
-@dataclass(frozen=True)
-class OplusO:
+@_node
+class OplusO(_Node):
     left: "Obj"
     right: "Obj"
 
@@ -70,116 +117,116 @@ NULL = ObjZero()
 # terms
 
 
-@dataclass(frozen=True)
-class Gen:
+@_node
+class Gen(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class GenInv:
+@_node
+class GenInv(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Id:
+@_node
+class Id(_Node):
     obj: Obj
 
 
-@dataclass(frozen=True)
-class Alpha:
+@_node
+class Alpha(_Node):
     a: Obj
     b: Obj
     c: Obj
 
 
-@dataclass(frozen=True)
-class AlphaInv:
+@_node
+class AlphaInv(_Node):
     a: Obj
     b: Obj
     c: Obj
 
 
-@dataclass(frozen=True)
-class Lam:
+@_node
+class Lam(_Node):
     a: Obj
 
 
-@dataclass(frozen=True)
-class LamInv:
+@_node
+class LamInv(_Node):
     a: Obj
 
 
-@dataclass(frozen=True)
-class SigmaT:
-    a: Obj
-    b: Obj
-
-
-@dataclass(frozen=True)
-class Eta:
-    a: Obj
-
-
-@dataclass(frozen=True)
-class Eps:
-    a: Obj
-
-
-@dataclass(frozen=True)
-class Pi1:
+@_node
+class SigmaT(_Node):
     a: Obj
     b: Obj
 
 
-@dataclass(frozen=True)
-class Pi2:
+@_node
+class Eta(_Node):
+    a: Obj
+
+
+@_node
+class Eps(_Node):
+    a: Obj
+
+
+@_node
+class Pi1(_Node):
     a: Obj
     b: Obj
 
 
-@dataclass(frozen=True)
-class Iota1:
+@_node
+class Pi2(_Node):
     a: Obj
     b: Obj
 
 
-@dataclass(frozen=True)
-class Iota2:
+@_node
+class Iota1(_Node):
     a: Obj
     b: Obj
 
 
-@dataclass(frozen=True)
-class ZeroT:
+@_node
+class Iota2(_Node):
     a: Obj
     b: Obj
 
 
-@dataclass(frozen=True)
-class Dagger:
+@_node
+class ZeroT(_Node):
+    a: Obj
+    b: Obj
+
+
+@_node
+class Dagger(_Node):
     body: "Term"
 
 
-@dataclass(frozen=True)
-class Tens:
+@_node
+class Tens(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Direct:
+@_node
+class Direct(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Plus:
+@_node
+class Plus(_Node):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Comp:
+@_node
+class Comp(_Node):
     after: "Term"
     before: "Term"
 
@@ -195,21 +242,27 @@ class TypeCheckError(Exception):
     pass
 
 
-_TYPE_CACHE: dict[tuple, tuple[Obj, Obj]] = {}
+def typecheck(t: Term, alphabet: Alphabet = DEFAULT_ALPHABET,
+              types: dict[Term, tuple[Obj, Obj]] | None = None) -> tuple[Obj, Obj]:
+    """Source and target of a term, or TypeCheckError.
 
-
-def typecheck(t: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> tuple[Obj, Obj]:
-    """Source and target of a term, or TypeCheckError."""
-    key = (t, alphabet.names)
-    hit = _TYPE_CACHE.get(key)
+    ``types`` memoises the endpoints of every subterm, so a term with shared
+    subterms is typed in time linear in its number of distinct nodes.  Pass
+    the ``types`` of an `interp.EvalContext` for the same alphabet to keep
+    them across calls.
+    """
+    if types is None:
+        types = {}
+    hit = types.get(t)
     if hit is not None:
         return hit
-    result = _typecheck(t, alphabet)
-    _TYPE_CACHE[key] = result
+    result = _typecheck(t, alphabet, types)
+    types[t] = result
     return result
 
 
-def _typecheck(t: Term, alphabet: Alphabet) -> tuple[Obj, Obj]:
+def _typecheck(t: Term, alphabet: Alphabet,
+               types: dict[Term, tuple[Obj, Obj]]) -> tuple[Obj, Obj]:
     match t:
         case Gen(name) | GenInv(name):
             if name not in alphabet.names:
@@ -242,30 +295,58 @@ def _typecheck(t: Term, alphabet: Alphabet) -> tuple[Obj, Obj]:
         case ZeroT(a, b):
             return (a, b)
         case Dagger(body):
-            s, t2 = typecheck(body, alphabet)
+            s, t2 = typecheck(body, alphabet, types)
             return (t2, s)
         case Tens(left, right):
-            ls, lt = typecheck(left, alphabet)
-            rs, rt = typecheck(right, alphabet)
+            ls, lt = typecheck(left, alphabet, types)
+            rs, rt = typecheck(right, alphabet, types)
             return (TensorO(ls, rs), TensorO(lt, rt))
         case Direct(left, right):
-            ls, lt = typecheck(left, alphabet)
-            rs, rt = typecheck(right, alphabet)
+            ls, lt = typecheck(left, alphabet, types)
+            rs, rt = typecheck(right, alphabet, types)
             return (OplusO(ls, rs), OplusO(lt, rt))
         case Plus(left, right):
-            ls, lt = typecheck(left, alphabet)
-            rs, rt = typecheck(right, alphabet)
+            ls, lt = typecheck(left, alphabet, types)
+            rs, rt = typecheck(right, alphabet, types)
             if (ls, lt) != (rs, rt):
                 raise TypeCheckError("summands must share source and target")
             return (ls, lt)
         case Comp(after, before):
-            bs, bt = typecheck(before, alphabet)
-            as_, at = typecheck(after, alphabet)
+            bs, bt = typecheck(before, alphabet, types)
+            as_, at = typecheck(after, alphabet, types)
             if bt != as_:
                 raise TypeCheckError(
                     f"composition mismatch: {print_obj(bt)} vs {print_obj(as_)}")
             return (bs, at)
     raise TypeCheckError(f"not a term: {t!r}")
+
+
+def subterms(t: Term) -> list[Term]:
+    """The distinct subterms of t, t last, each after its own subterms.
+
+    Walks the term DAG with an explicit stack, so the depth of t is not
+    bounded by the Python recursion limit.
+    """
+    order: list[Term] = []
+    seen: set[Term] = set()
+    stack: list[tuple[Term, bool]] = [(t, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        match node:
+            case Dagger(body):
+                stack.append((body, False))
+            case Tens(left, right) | Direct(left, right) | Plus(left, right) \
+                    | Comp(left, right):
+                stack.append((right, False))
+                stack.append((left, False))
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +440,11 @@ def coname_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
     return Comp(Eps(b), Tens(f, Id(Star(b))))
 
 
-def star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
-    """The transpose f*: b* -> a* as its defining composite."""
-    a, b = typecheck(f, alphabet)
+def star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET,
+              types: dict[Term, tuple[Obj, Obj]] | None = None) -> Term:
+    """The transpose f*: b* -> a* as its defining composite; ``types`` is
+    handed to `typecheck`."""
+    a, b = typecheck(f, alphabet, types)
     return Comp(Lam(Star(a)), Comp(SigmaT(Star(a), UNIT), Comp(
         Tens(Id(Star(a)), Eps(b)), Comp(
             AlphaInv(Star(a), b, Star(b)), Comp(

@@ -7,6 +7,7 @@ import pytest
 
 from cobeq import cli
 from cobeq import protocols
+from cobeq import syntax as sx
 
 
 @pytest.fixture
@@ -209,3 +210,29 @@ def test_check_too_deep_exit_three(corpus):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_check_depth_400_chains(capsys):
+    # Both checks overflowed the recursion limit while terms were compared
+    # field by field; interned terms compare by identity.
+    path = os.path.join(os.path.dirname(__file__), "deep400.ccc")
+    assert cli.main(["check", path]) == 1
+    statuses = [line.split(": ")[1] for line in capsys.readouterr().out.splitlines()
+                if line.startswith(path)]
+    assert statuses == ["EQUAL", "UNEQUAL"]
+
+
+def test_check_under_python_optimize(tmp_path):
+    # python -O strips assert statements; verdicts and output must not change.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    left, right = protocols.entanglement_swap_legs_perturbed()
+    swap = tmp_path / "swap_perturbed.ccc"
+    swap.write_text(f"gens b1 b2 b3 b4;\ncheck {sx.print_term(left)} == "
+                    f"{sx.print_term(right)};\n", encoding="utf-8")
+    for path, status in ((os.path.join(root, "corpus", "teleportation.ccc"), 0),
+                         (str(swap), 1)):
+        runs = [subprocess.run([sys.executable, *flags, "-m", "cobeq", "check", path],
+                               capture_output=True, text=True)
+                for flags in (["-O"], [])]
+        assert [run.returncode for run in runs] == [status, status]
+        assert runs[0].stdout == runs[1].stdout and "EQUAL" in runs[0].stdout

@@ -27,7 +27,7 @@ def test_add_zero_neutral_and_assoc():
         x = gl.rand_cobsum(rng, a, b)
         y = gl.rand_cobsum(rng, a, b)
         z = gl.rand_cobsum(rng, a, b)
-        assert cs.add(x, cs.ZERO) == x
+        assert cs.add(x, cs.ZERO) is x and cs.add(cs.ZERO, x) is x
         assert cs.add(x, y) == cs.add(y, x)
         assert cs.add(cs.add(x, y), z) == cs.add(x, cs.add(y, z))
 

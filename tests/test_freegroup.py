@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,30 @@ def test_reduction_confluent(raw1, raw2):
     # reducing the pieces first and then the seam agrees with reducing the
     # full concatenation in one pass
     assert fg.mul(fg.word(raw1), fg.word(raw2)) == fg.word(raw1 + raw2)
+
+
+def test_mul_cancels_at_the_junction_like_full_reduction():
+    # v starts with the inverse of a suffix of u, so the product cancels
+    # that far into both words; k = len(u) with no tail cancels fully.
+    rng = random.Random(SEED)
+    for _ in range(300):
+        u = fg.word((rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.randrange(12)))
+        k = rng.randint(0, len(u.letters))
+        tail = [(rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.choice((0, 3)))]
+        suffix = fg.GroupWord(u.letters[len(u.letters) - k:])
+        v = fg.mul(fg.inverse(suffix), fg.word(tail))
+        got = fg.mul(u, v)
+        assert got == fg.word(u.letters + v.letters)
+        assert fg.GroupWord(got.letters) == got  # the constructor's check passes
+        if k == len(u.letters) and not tail:
+            assert got == fg.E
+
+
+def test_unreduced_or_invalid_letters_are_rejected():
+    with pytest.raises(ValueError):
+        fg.GroupWord(((0, 1), (0, -1)))
+    with pytest.raises(ValueError):
+        fg.word([(0, 2)])
 
 
 @given(words, st.integers(0, 11))

@@ -134,3 +134,20 @@ def test_word_matrix_inverse():
     import cobeq.freegroup as fg
     lhs = hb.word_matrix(w) @ hb.word_matrix(fg.inverse(w))
     assert np.allclose(lhs, np.eye(2), atol=1e-9)
+
+
+def test_each_distinct_subterm_is_evaluated_once(monkeypatch):
+    # 40 nested self-compositions: a tree of 5 * 2^40 - 1 nodes, 43 of them distinct.
+    t = Comp(Gen("b2"), Dagger(Gen("b2")))
+    for _ in range(40):
+        t = Comp(t, t)
+    seen = []
+    evaluate = hb._eval_node
+
+    def counting(node, assignment, values):
+        seen.append(node)
+        return evaluate(node, assignment, values)
+
+    monkeypatch.setattr(hb, "_eval_node", counting)
+    assert np.allclose(hb.eval_numeric(t), np.eye(2))
+    assert len(seen) == len(set(seen)) == 43

@@ -7,6 +7,7 @@ from cobeq import cobsum as cs
 from cobeq import interp
 from cobeq import matcat as mc
 from cobeq import syntax as sx
+from cobeq.freegroup import Alphabet, DEFAULT_ALPHABET
 from cobeq.interp import H, inj_proj, interp_object, matrix_form
 from cobeq.syntax import (
     Comp, Gen, Id, Iota1, Iota2, NULL, OplusO, P, Pi1, Pi2, Star, Tens,
@@ -272,3 +273,79 @@ def test_tuple_term_universal_property():
                 recovered = H(Comp(proj, tup))
                 expected = H(Comp(part_fam.projections[k], part))
                 assert recovered == expected
+
+
+def _chain(k: int) -> str:
+    """A `.`-chain of k two-wire gadgets, the same prefix for every k."""
+    gadgets = ["sigma[p,p]", "(b1 (x) inv(b2))", "(id[p] (x) b3)", "(inv(b4) (x) b1)",
+               "(b2 (x) id[p])"]
+    rng = random.Random(SEED)
+    return " . ".join(rng.choice(gadgets) for _ in range(k))
+
+
+def _misses(k: int) -> int:
+    """Matrix-cache misses of a fresh context on the chain of k gadgets
+    against the same chain with an inverse pair inserted at 3/4 of it."""
+    chain = _chain(k).split(" . ")
+    at = 3 * k // 4
+    edited = chain[:at] + ["(b1 (x) id[p])", "(inv(b1) (x) id[p])"] + chain[at:]
+    left, right = sx.parse_term(" . ".join(chain)), sx.parse_term(" . ".join(edited))
+    context = interp.EvalContext()
+    assert interp.equal(left, right, context=context).equal
+    assert context.misses == context.sizes()["matrices"]
+    return context.misses
+
+
+def test_chain_evaluation_grows_linearly():
+    # The shared prefix is evaluated once, and no node twice: doubling the
+    # chain at most doubles the work, counted as matrix-cache misses.
+    for k in (20, 40, 80):
+        assert _misses(2 * k) <= 2 * _misses(k) + 10
+
+
+def test_calls_without_context_share_the_default_context():
+    f, g = sx.parse_term("sigma[p,p] . (b1 (x) b2)"), sx.parse_term("(b2 (x) b1) . sigma[p,p]")
+    assert interp.equal(f, g).equal
+    context = interp.default_context()
+    misses, sizes = context.misses, context.sizes()
+    assert interp.equal(f, g).equal and interp.default_context() is context
+    assert context.misses == misses and context.sizes() == sizes
+    assert context.hits > 0
+    context.clear()
+    assert set(context.sizes().values()) == {0} and context.hits == context.misses == 0
+
+
+def test_default_context_follows_the_alphabet():
+    two = interp.default_context(Alphabet(("b1", "b2")))
+    assert interp.default_context(Alphabet(("b1", "b2"))) is two
+    assert interp.default_context() is two
+    assert interp.default_context(Alphabet(("b1",))) is not two
+
+
+def test_evaluation_is_checked_against_the_type(monkeypatch):
+    monkeypatch.setattr(interp, "_eval", lambda t, ctx: mc.identity(mc.UNIT))
+    with pytest.raises(AssertionError):
+        H(Id(P), context=interp.EvalContext())
+
+
+def test_a_context_evaluates_under_its_own_alphabet():
+    two = Alphabet(("b1", "b2"))
+    context = interp.EvalContext(two)
+    f = sx.parse_term("b2 . b1")
+    assert H(f, context=context) == H(f, two, context) == H(f, Alphabet(("b1", "b2")), context)
+    assert interp.equal(f, f, context=context).equal
+    with pytest.raises(ValueError):
+        H(f, Alphabet(("b1", "b2", "b3")), context)
+    with pytest.raises(ValueError):
+        interp.equal(f, f, DEFAULT_ALPHABET, context)
+
+
+def test_inj_proj_types_in_the_context():
+    # The transposes of a dual's components are typed into the context's
+    # memo, so later typing of their entries is a lookup.
+    context = interp.EvalContext()
+    inner = inj_proj(OplusO(P, UNIT), context)
+    parts = inner.injections + inner.projections
+    assert not any(t in context.types for t in parts)
+    inj_proj(Star(OplusO(P, UNIT)), context)
+    assert all(t in context.types for t in parts)

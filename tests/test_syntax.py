@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -164,3 +165,36 @@ def test_distributivity_builders_typecheck():
     src, tgt = sx.typecheck(ups4)
     assert src == TensorO(sx.nfold_obj(UNIT, 4), P)
     assert tgt == sx.oplus_obj([TensorO(UNIT, P)] * 4)
+
+
+def test_equal_structure_is_one_node():
+    text = "sigma[p,p] . (b1 (x) inv(b2)) . eta[p^*]!"
+    assert sx.parse_term(text) is sx.parse_term(text)
+    a, b = Gen("b1"), Tens(Id(P), GenInv("b2"))
+    assert Comp(a, b) is Comp(a, b)
+    assert Comp(a, b) is not Comp(b, a)
+    assert TensorO(Star(P), P) is sx.parse_obj("p^* (x) p")
+
+
+def test_unreferenced_nodes_leave_the_intern_table():
+    def probes():
+        return [n for n in list(sx._NODES.values())
+                if isinstance(n, Gen) and n.name == "gc_probe"]
+
+    t = Comp(Gen("gc_probe"), Tens(Gen("gc_probe"), Id(P)))
+    assert len(probes()) == 1
+    del t
+    gc.collect()
+    assert probes() == []
+
+
+def test_subterms_lists_each_node_once_after_its_subterms():
+    shared = sx.parse_term("b1 . inv(b2)")
+    t = Plus(Comp(shared, shared), Dagger(shared))
+    order = sx.subterms(t)
+    assert len(order) == len(set(order)) and order[-1] is t
+    assert set(order) == {t, Comp(shared, shared), Dagger(shared), shared,
+                          Gen("b1"), GenInv("b2")}
+    position = {node: i for i, node in enumerate(order)}
+    assert position[shared] < position[Comp(shared, shared)]
+    assert position[shared] < position[Dagger(shared)]
