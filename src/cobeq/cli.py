@@ -4,8 +4,7 @@ Subcommands: ``check`` evaluates every check statement of a source file,
 ``normalize`` prints the matrix form of a named term as JSON, ``render``
 writes a drawing of a named term's canonical matrix, ``protocol`` runs the
 bundled protocol verifications.  Exit status is 0 on success, 1 when some
-checked equality fails, 2 on usage, parse or type errors, 3 when the input
-is nested too deeply to evaluate.
+checked equality fails, 2 on usage, parse or type errors.
 """
 
 from __future__ import annotations
@@ -175,10 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: input nested too deeply (Python recursion limit exceeded)",
-              file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

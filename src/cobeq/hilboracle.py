@@ -63,7 +63,13 @@ PAULI_ASSIGNMENT: Assignment = {
 }
 
 
-def dim_of(a: Obj) -> int:
+def dim_of(a: Obj, dims: dict | None = None) -> int:
+    """Dimension of the space an object formula denotes.  ``dims`` memoises
+    the dimension of every subformula."""
+    return sx.fold(a, {} if dims is None else dims, _dimension)
+
+
+def _dimension(a: Obj, dims: dict[Obj, int]) -> int:
     match a:
         case ObjP():
             return 2
@@ -72,11 +78,11 @@ def dim_of(a: Obj) -> int:
         case ObjZero():
             return 0
         case Star(arg):
-            return dim_of(arg)
+            return dims[arg]
         case TensorO(left, right):
-            return dim_of(left) * dim_of(right)
+            return dims[left] * dims[right]
         case OplusO(left, right):
-            return dim_of(left) + dim_of(right)
+            return dims[left] + dims[right]
     raise ValueError(f"not an object formula: {a!r}")
 
 
@@ -99,6 +105,19 @@ def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked(assignment: Assignment | None) -> Assignment:
+    """The assignment, `PAULI_ASSIGNMENT` if None, once its values are
+    checked to be invertible 2x2 matrices."""
+    if assignment is None:
+        return PAULI_ASSIGNMENT
+    for name, mat in assignment.items():
+        if mat.shape != (2, 2):
+            raise ValueError(f"assignment for {name!r} is not 2x2")
+        if abs(np.linalg.det(mat)) < 1e-12:
+            raise ValueError(f"assignment for {name!r} is not invertible")
+    return assignment
+
+
 def eval_numeric(t: Term, assignment: Assignment | None = None,
                  alphabet: Alphabet = DEFAULT_ALPHABET) -> np.ndarray:
     """Dense matrix of a well-typed term under a generator assignment.
@@ -108,52 +127,51 @@ def eval_numeric(t: Term, assignment: Assignment | None = None,
     Each distinct subterm is evaluated once.  Types are memoised in
     `interp.default_context(alphabet)`.
     """
-    if assignment is None:
-        assignment = PAULI_ASSIGNMENT
-    for name, mat in assignment.items():
-        if mat.shape != (2, 2):
-            raise ValueError(f"assignment for {name!r} is not 2x2")
-        if abs(np.linalg.det(mat)) < 1e-12:
-            raise ValueError(f"assignment for {name!r} is not invertible")
+    return _evaluate(t, _checked(assignment), alphabet)
+
+
+def _evaluate(t: Term, assignment: Assignment, alphabet: Alphabet) -> np.ndarray:
+    """`eval_numeric` of an assignment already checked."""
     sx.typecheck(t, alphabet, default_context(alphabet).types)
-    # Values are shared between the subterms that use them, so no array
-    # here is ever modified in place.
-    values: dict[Term, np.ndarray] = {}
-    for node in sx.subterms(t):
-        values[node] = _eval_node(node, assignment, values)
-    return values[t]
+    # The memo holds the matrix of each subterm and the dimension of each
+    # object formula.  Values are shared between the subterms that use
+    # them, so no array here is ever modified in place.
+    return sx.fold(t, {}, lambda node, values: _eval_node(node, assignment, values))
 
 
 def _eval_node(t: Term, assignment: Assignment,
                values: dict[Term, np.ndarray]) -> np.ndarray:
     """Matrix of one node, given the matrices of its immediate subterms."""
+    def dim(a: Obj) -> int:
+        return dim_of(a, values)
+
     match t:
         case Gen(name):
             return assignment[name]
         case GenInv(name):
             return np.linalg.inv(assignment[name])
         case Id(a):
-            return np.eye(dim_of(a), dtype=complex)
+            return np.eye(dim(a), dtype=complex)
         case Alpha(a, b, c) | AlphaInv(a, b, c):
-            return np.eye(dim_of(a) * dim_of(b) * dim_of(c), dtype=complex)
+            return np.eye(dim(a) * dim(b) * dim(c), dtype=complex)
         case Lam(a) | LamInv(a):
-            return np.eye(dim_of(a), dtype=complex)
+            return np.eye(dim(a), dtype=complex)
         case SigmaT(a, b):
-            return _swap_matrix(dim_of(a), dim_of(b))
+            return _swap_matrix(dim(a), dim(b))
         case Eta(a):
-            return _cup(dim_of(a))
+            return _cup(dim(a))
         case Eps(a):
-            return _cup(dim_of(a)).T
+            return _cup(dim(a)).T
         case Pi1(a, b):
-            return np.eye(dim_of(a) + dim_of(b), dtype=complex)[:dim_of(a)]
+            return np.eye(dim(a) + dim(b), dtype=complex)[:dim(a)]
         case Pi2(a, b):
-            return np.eye(dim_of(a) + dim_of(b), dtype=complex)[dim_of(a):]
+            return np.eye(dim(a) + dim(b), dtype=complex)[dim(a):]
         case Iota1(a, b):
-            return np.eye(dim_of(a) + dim_of(b), dtype=complex)[:, :dim_of(a)]
+            return np.eye(dim(a) + dim(b), dtype=complex)[:, :dim(a)]
         case Iota2(a, b):
-            return np.eye(dim_of(a) + dim_of(b), dtype=complex)[:, dim_of(a):]
+            return np.eye(dim(a) + dim(b), dtype=complex)[:, dim(a):]
         case ZeroT(a, b):
-            return np.zeros((dim_of(b), dim_of(a)), dtype=complex)
+            return np.zeros((dim(b), dim(a)), dtype=complex)
         case Dagger(body):
             return values[body].conj().T
         case Tens(left, right):
@@ -171,13 +189,13 @@ def agree(f: Term, g: Term, tol: float = 1e-9,
           assignment: Assignment | None = None,
           alphabet: Alphabet = DEFAULT_ALPHABET) -> bool:
     """Whether f and g evaluate to numerically equal matrices."""
+    assignment = _checked(assignment)
     types = default_context(alphabet).types
     fs, ft = sx.typecheck(f, alphabet, types)
     gs, gt = sx.typecheck(g, alphabet, types)
     if (fs, ft) != (gs, gt):
         raise sx.TypeCheckError("endpoint mismatch")
-    diff = (eval_numeric(f, assignment, alphabet)
-            - eval_numeric(g, assignment, alphabet))
+    diff = _evaluate(f, assignment, alphabet) - _evaluate(g, assignment, alphabet)
     if diff.size == 0:
         return True
     return float(np.max(np.abs(diff))) <= tol

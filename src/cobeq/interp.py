@@ -122,27 +122,25 @@ def _context(alphabet: Alphabet | None, context: EvalContext | None) -> EvalCont
 
 def interp_object(a: Obj, context: EvalContext | None = None) -> ObjList:
     """Object list denoted by an object formula."""
-    ctx = context or default_context()
-    hit = ctx.objects.get(a)
-    if hit is not None:
-        return hit
+    return sx.fold(a, (context or default_context()).objects, _object_list)
+
+
+def _object_list(a: Obj, objects: dict[Obj, ObjList]) -> ObjList:
+    """Object list of one node, given those of its subformulas."""
     match a:
         case ObjP():
-            result: ObjList = (QUBIT_SEQ,)
+            return (QUBIT_SEQ,)
         case ObjI():
-            result = mc.UNIT
+            return mc.UNIT
         case ObjZero():
-            result = mc.ZERO_OBJ
+            return mc.ZERO_OBJ
         case Star(arg):
-            result = mc.dual_obj(interp_object(arg, ctx))
+            return mc.dual_obj(objects[arg])
         case TensorO(left, right):
-            result = mc.tensor_obj(interp_object(left, ctx), interp_object(right, ctx))
+            return mc.tensor_obj(objects[left], objects[right])
         case OplusO(left, right):
-            result = mc.oplus_obj(interp_object(left, ctx), interp_object(right, ctx))
-        case _:
-            raise ValueError(f"not an object formula: {a!r}")
-    ctx.objects[a] = result
-    return result
+            return mc.oplus_obj(objects[left], objects[right])
+    raise ValueError(f"not an object formula: {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +164,16 @@ def inj_proj(a: Obj, context: EvalContext | None = None) -> InjProjFamily:
     concatenates, composed with the binary injections or projections.
     """
     ctx = context or default_context()
-    hit = ctx.families.get(a)
-    if hit is not None:
-        return hit
+    return sx.fold(a, ctx.families, lambda node, families: _family(node, families, ctx))
+
+
+def _family(a: Obj, families: dict[Obj, InjProjFamily], ctx: EvalContext) -> InjProjFamily:
+    """Family of one node, given those of its subformulas."""
     match a:
         case ObjP() | ObjI() | ObjZero():
-            fam = InjProjFamily(a, (a,), (Id(a),), (Id(a),))
+            return InjProjFamily(a, (a,), (Id(a),), (Id(a),))
         case TensorO(a1, a2):
-            f1, f2 = inj_proj(a1, ctx), inj_proj(a2, ctx)
+            f1, f2 = families[a1], families[a2]
             n2 = len(f2.components)
             comps, injs, projs = [], [], []
             for i in range(len(f1.components) * n2):
@@ -181,25 +181,22 @@ def inj_proj(a: Obj, context: EvalContext | None = None) -> InjProjFamily:
                 comps.append(TensorO(f1.components[i1], f2.components[i2]))
                 injs.append(Tens(f1.injections[i1], f2.injections[i2]))
                 projs.append(Tens(f1.projections[i1], f2.projections[i2]))
-            fam = InjProjFamily(a, tuple(comps), tuple(injs), tuple(projs))
+            return InjProjFamily(a, tuple(comps), tuple(injs), tuple(projs))
         case Star(a1):
-            f1 = inj_proj(a1, ctx)
+            f1 = families[a1]
             comps = tuple(Star(c) for c in f1.components)
             injs = tuple(sx.star_term(p, ctx.alphabet, ctx.types) for p in f1.projections)
             projs = tuple(sx.star_term(i, ctx.alphabet, ctx.types) for i in f1.injections)
-            fam = InjProjFamily(a, comps, injs, projs)
+            return InjProjFamily(a, comps, injs, projs)
         case OplusO(a1, a2):
-            f1, f2 = inj_proj(a1, ctx), inj_proj(a2, ctx)
+            f1, f2 = families[a1], families[a2]
             comps = f1.components + f2.components
             injs = tuple(Comp(Iota1(a1, a2), i) for i in f1.injections)
             injs += tuple(Comp(Iota2(a1, a2), i) for i in f2.injections)
             projs = tuple(Comp(p, Pi1(a1, a2)) for p in f1.projections)
             projs += tuple(Comp(p, Pi2(a1, a2)) for p in f2.projections)
-            fam = InjProjFamily(a, comps, injs, projs)
-        case _:
-            raise ValueError(f"not an object formula: {a!r}")
-    ctx.families[a] = fam
-    return fam
+            return InjProjFamily(a, comps, injs, projs)
+    raise ValueError(f"not an object formula: {a!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +207,26 @@ def H(t: Term, alphabet: Alphabet | None = None,
       context: EvalContext | None = None) -> MatArrow:
     """Canonical matrix denoted by a well-typed term, memoised in
     ``context``, by default `default_context(alphabet)`.  The alphabet is
-    the context's; naming another one raises ValueError."""
+    the context's; naming another one raises ValueError.
+
+    The subterms not yet cached are evaluated in post-order, and each reads
+    its children's matrices through `H` as cache hits, so the stack stays
+    shallow however deep the term."""
     ctx = _context(alphabet, context)
     hit = ctx.matrices.get(t)
     if hit is not None:
         ctx.hits += 1
         return hit
-    ctx.misses += 1
-    src, tgt = sx.typecheck(t, ctx.alphabet, ctx.types)
-    result = _eval(t, ctx)
-    if result.src != interp_object(src, ctx) or result.tgt != interp_object(tgt, ctx):
-        raise AssertionError(f"the matrix of a {type(t).__name__} term does not "
-                             "have the term's type")
-    ctx.matrices[t] = result
-    return result
+    sx.typecheck(t, ctx.alphabet, ctx.types)
+    for node in sx.subterms(t, ctx.matrices):
+        ctx.misses += 1
+        src, tgt = ctx.types[node]
+        result = _eval(node, ctx)
+        if result.src != interp_object(src, ctx) or result.tgt != interp_object(tgt, ctx):
+            raise AssertionError(f"the matrix of a {type(node).__name__} term does not "
+                                 "have the term's type")
+        ctx.matrices[node] = result
+    return ctx.matrices[t]
 
 
 def _generator_matrix(name: str, alphabet: Alphabet, exponent: int) -> MatArrow:

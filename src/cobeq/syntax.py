@@ -17,6 +17,7 @@ Files declare generators first (``gens b1 b2;``) and then ``let`` and
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -251,18 +252,13 @@ def typecheck(t: Term, alphabet: Alphabet = DEFAULT_ALPHABET,
     the ``types`` of an `interp.EvalContext` for the same alphabet to keep
     them across calls.
     """
-    if types is None:
-        types = {}
-    hit = types.get(t)
-    if hit is not None:
-        return hit
-    result = _typecheck(t, alphabet, types)
-    types[t] = result
-    return result
+    return fold(t, {} if types is None else types,
+                lambda node, types: _node_type(node, alphabet, types))
 
 
-def _typecheck(t: Term, alphabet: Alphabet,
+def _node_type(t: Term, alphabet: Alphabet,
                types: dict[Term, tuple[Obj, Obj]]) -> tuple[Obj, Obj]:
+    """Endpoints of one node, given those of its immediate subterms."""
     match t:
         case Gen(name) | GenInv(name):
             if name not in alphabet.names:
@@ -295,25 +291,20 @@ def _typecheck(t: Term, alphabet: Alphabet,
         case ZeroT(a, b):
             return (a, b)
         case Dagger(body):
-            s, t2 = typecheck(body, alphabet, types)
+            s, t2 = types[body]
             return (t2, s)
         case Tens(left, right):
-            ls, lt = typecheck(left, alphabet, types)
-            rs, rt = typecheck(right, alphabet, types)
+            (ls, lt), (rs, rt) = types[left], types[right]
             return (TensorO(ls, rs), TensorO(lt, rt))
         case Direct(left, right):
-            ls, lt = typecheck(left, alphabet, types)
-            rs, rt = typecheck(right, alphabet, types)
+            (ls, lt), (rs, rt) = types[left], types[right]
             return (OplusO(ls, rs), OplusO(lt, rt))
         case Plus(left, right):
-            ls, lt = typecheck(left, alphabet, types)
-            rs, rt = typecheck(right, alphabet, types)
-            if (ls, lt) != (rs, rt):
+            if types[left] != types[right]:
                 raise TypeCheckError("summands must share source and target")
-            return (ls, lt)
+            return types[left]
         case Comp(after, before):
-            bs, bt = typecheck(before, alphabet, types)
-            as_, at = typecheck(after, alphabet, types)
+            (bs, bt), (as_, at) = types[before], types[after]
             if bt != as_:
                 raise TypeCheckError(
                     f"composition mismatch: {print_obj(bt)} vs {print_obj(as_)}")
@@ -321,32 +312,51 @@ def _typecheck(t: Term, alphabet: Alphabet,
     raise TypeCheckError(f"not a term: {t!r}")
 
 
-def subterms(t: Term) -> list[Term]:
-    """The distinct subterms of t, t last, each after its own subterms.
+def subterms(root: Term | Obj, done=()) -> list[Term | Obj]:
+    """The distinct subterms of a term, or subformulas of an object formula,
+    each after its own, root last.  Nodes in ``done`` (a memo of earlier
+    results) are left out, and so is everything reached only through them.
 
-    Walks the term DAG with an explicit stack, so the depth of t is not
-    bounded by the Python recursion limit.
+    Walks the DAG with an explicit stack, so depth is not bounded by the
+    Python recursion limit.  A composite's ``before`` comes ahead of its
+    ``after``, in the order its arrows run, so `typecheck` reports the first
+    error along a pipeline.
     """
-    order: list[Term] = []
-    seen: set[Term] = set()
-    stack: list[tuple[Term, bool]] = [(t, False)]
+    order: list[Term | Obj] = []
+    seen: set[Term | Obj] = set()
+    stack: list[tuple[Term | Obj, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if node in seen:
+        if node in seen or node in done:
             continue
         seen.add(node)
         stack.append((node, True))
         match node:
-            case Dagger(body):
-                stack.append((body, False))
+            case Dagger(child) | Star(child):
+                stack.append((child, False))
             case Tens(left, right) | Direct(left, right) | Plus(left, right) \
-                    | Comp(left, right):
+                    | TensorO(left, right) | OplusO(left, right):
                 stack.append((right, False))
                 stack.append((left, False))
+            case Comp(after, before):
+                stack.append((after, False))
+                stack.append((before, False))
     return order
+
+
+def fold(root: Term | Obj, memo: dict, step):
+    """``memo[root]``, computed if missing: ``step(node, memo)`` gives the
+    value of each node not yet in ``memo`` from the values of its children,
+    which `subterms` puts in ``memo`` first."""
+    hit = memo.get(root)
+    if hit is not None:
+        return hit
+    for node in subterms(root, memo):
+        memo[node] = step(node, memo)
+    return memo[root]
 
 
 # ---------------------------------------------------------------------------
@@ -360,68 +370,42 @@ def eliminate_dagger(t: Term) -> Term:
     and resolved on primitives: structural isomorphisms flip to their
     inverses, counits become swapped units and vice versa, projections and
     injections exchange, and generator daggers become generator inverses.
+    Each node gets its dagger-free form and that of its dagger in one pass.
     """
-    match t:
-        case Dagger(body):
-            return _elim_dagger(body)
-        case Tens(f, g):
-            return Tens(eliminate_dagger(f), eliminate_dagger(g))
-        case Direct(f, g):
-            return Direct(eliminate_dagger(f), eliminate_dagger(g))
-        case Plus(f, g):
-            return Plus(eliminate_dagger(f), eliminate_dagger(g))
-        case Comp(f, g):
-            return Comp(eliminate_dagger(f), eliminate_dagger(g))
-        case _:
-            return t
+    return fold(t, {}, _dagger_forms)[0]
 
 
-def _elim_dagger(t: Term) -> Term:
-    """Dagger-free form of the dagger of t."""
+# The dagger of each primitive that is a primitive of the same arguments.
+_PRIMITIVE_DAGGER = {Gen: GenInv, GenInv: Gen, Id: Id, Alpha: AlphaInv, AlphaInv: Alpha,
+                     Lam: LamInv, LamInv: Lam, Pi1: Iota1, Pi2: Iota2, Iota1: Pi1,
+                     Iota2: Pi2}
+
+
+def _dagger_forms(t: Term, forms: dict[Term, tuple[Term, Term]]) -> tuple[Term, Term]:
+    """Dagger-free forms of a node and of its dagger, given its children's."""
     match t:
         case Dagger(body):
-            return eliminate_dagger(body)
+            plain, daggered = forms[body]
+            return (daggered, plain)
         case Comp(f, g):
-            return Comp(_elim_dagger(g), _elim_dagger(f))
-        case Tens(f, g):
-            return Tens(_elim_dagger(f), _elim_dagger(g))
-        case Direct(f, g):
-            return Direct(_elim_dagger(f), _elim_dagger(g))
-        case Plus(f, g):
-            return Plus(_elim_dagger(f), _elim_dagger(g))
-        case Gen(name):
-            return GenInv(name)
-        case GenInv(name):
-            return Gen(name)
-        case Id(a):
-            return Id(a)
-        case Alpha(a, b, c):
-            return AlphaInv(a, b, c)
-        case AlphaInv(a, b, c):
-            return Alpha(a, b, c)
-        case Lam(a):
-            return LamInv(a)
-        case LamInv(a):
-            return Lam(a)
+            (pf, df), (pg, dg) = forms[f], forms[g]
+            return (Comp(pf, pg), Comp(dg, df))
+        case Tens(f, g) | Direct(f, g) | Plus(f, g):
+            (pf, df), (pg, dg) = forms[f], forms[g]
+            return (type(t)(pf, pg), type(t)(df, dg))
         case SigmaT(a, b):
-            return SigmaT(b, a)
+            return (t, SigmaT(b, a))
+        case ZeroT(a, b):
+            return (t, ZeroT(b, a))
         case Eps(a):
             # eps_a dagger = sigma_{a*,a} o eta_a
-            return Comp(SigmaT(Star(a), a), Eta(a))
+            return (t, Comp(SigmaT(Star(a), a), Eta(a)))
         case Eta(a):
             # eta_a dagger = eps_a o sigma_{a*,a}
-            return Comp(Eps(a), SigmaT(Star(a), a))
-        case Pi1(a, b):
-            return Iota1(a, b)
-        case Pi2(a, b):
-            return Iota2(a, b)
-        case Iota1(a, b):
-            return Pi1(a, b)
-        case Iota2(a, b):
-            return Pi2(a, b)
-        case ZeroT(a, b):
-            return ZeroT(b, a)
-    raise TypeCheckError(f"not a term: {t!r}")
+            return (t, Comp(Eps(a), SigmaT(Star(a), a)))
+    if type(t) not in _PRIMITIVE_DAGGER:
+        raise TypeCheckError(f"not a term: {t!r}")
+    return (t, _PRIMITIVE_DAGGER[type(t)](*(getattr(t, f) for f in t.__match_args__)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,37 +572,78 @@ def w_term(a: Obj) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# printing
+# lexer
 
 
-_OBJ_ATOM, _OBJ_STAR, _OBJ_TENSOR, _OBJ_OPLUS = 3, 2, 1, 0
+class ParseError(Exception):
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{line}:{col}: {message}")
+        self.line = line
+        self.col = col
 
 
-def _print_obj(a: Obj, level: int) -> str:
-    match a:
-        case ObjP():
-            return "p"
-        case ObjI():
-            return "I"
-        case ObjZero():
-            return "0"
-        case Star(arg):
-            s = _print_obj(arg, _OBJ_STAR) + "^*"
-            return s if level <= _OBJ_STAR else f"({s})"
-        case TensorO(left, right):
-            s = f"{_print_obj(left, _OBJ_TENSOR)} (x) {_print_obj(right, _OBJ_TENSOR + 1)}"
-            return s if level <= _OBJ_TENSOR else f"({s})"
-        case OplusO(left, right):
-            s = f"{_print_obj(left, _OBJ_OPLUS)} (+) {_print_obj(right, _OBJ_OPLUS + 1)}"
-            return s if level <= _OBJ_OPLUS else f"({s})"
-    raise ValueError(f"not an object: {a!r}")
+Token = tuple[str, str, int, int]  # kind, text, line, column
+
+_KEYWORDS = {"gens", "let", "check", "inv"}
+_SYMBOLS = {"(x)": "TENSOR", "(+)": "OPLUS", "^*": "STAR", "==": "EQEQ", "=": "EQ",
+            "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", ",": "COMMA",
+            ";": "SEMI", ".": "DOT", "+": "PLUS", "!": "BANG"}
+# Whitespace, a comment, a symbol (longest first), a run of word characters
+# (``\w`` is what ``str.isalnum`` or ``_`` accepts) or any one character.
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|\(x\)|\(\+\)|\^\*|==|[=()\[\],;.+!]|\w+|.",
+                    re.DOTALL)
 
 
-def print_obj(a: Obj) -> str:
-    return _print_obj(a, 0)
+def _lex(text: str) -> list[Token]:
+    """Tokens of a source text, ending with EOF.
+
+    An identifier starts with a character that is alphabetic (by
+    ``str.isalpha``) or ``_``; a number is a run of digits (by
+    ``str.isdigit``), which ends inside a word run at its first non-digit.
+    """
+    tokens: list[Token] = []
+    pos, line, line_start = 0, 1, 0
+    match = _TOKEN.match
+    while pos < len(text):
+        word = match(text, pos).group()
+        first, col, end = word[0], pos - line_start + 1, pos + len(word)
+        if first in " \t\r\n#":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = pos + word.rindex("\n") + 1
+        elif word in _SYMBOLS:
+            tokens.append((_SYMBOLS[word], word, line, col))
+        elif first.isalpha() or first == "_":
+            tokens.append((word.upper() if word in _KEYWORDS else "IDENT", word, line, col))
+        elif first.isdigit():
+            end = pos + 1
+            while end < pos + len(word) and text[end].isdigit():
+                end += 1
+            tokens.append(("NUMBER", text[pos:end], line, col))
+        elif first == "^":
+            raise ParseError("expected '^*'", line, col)
+        else:
+            raise ParseError(f"unexpected character {first!r}", line, col)
+        pos = end
+    tokens.append(("EOF", "", line, pos - line_start + 1))
+    return tokens
 
 
-_T_ATOM, _T_POST, _T_TENSOR, _T_OPLUS, _T_PLUS, _T_COMP = 5, 4, 3, 2, 1, 0
+# ---------------------------------------------------------------------------
+# operators, printing and parsing
+
+# Infix operators of each sort: token kind -> (precedence, constructor).  A
+# higher precedence binds tighter and all associate to the left; the
+# postfix operator of each sort (``^*``, ``!``) binds tighter than any.
+_OBJ_INFIX = {"OPLUS": (0, OplusO), "TENSOR": (1, TensorO)}
+_TERM_INFIX = {"DOT": (0, Comp), "PLUS": (1, Plus), "OPLUS": (2, Direct), "TENSOR": (3, Tens)}
+
+_SYMBOL_OF = {kind: text for text, kind in _SYMBOLS.items()}
+# Precedence and symbol of each operator node, for printing.
+_OPERATORS = {cls: (prec, f" {_SYMBOL_OF[kind]} ")
+              for table in (_OBJ_INFIX, _TERM_INFIX) for kind, (prec, cls) in table.items()}
+_OPERATORS[Star] = (len(_OBJ_INFIX), "^*")
+_OPERATORS[Dagger] = (len(_TERM_INFIX), "!")
 
 # Keyword of each structural primitive.  The parser accepts every keyword;
 # the printer writes the first one listed for a class.
@@ -630,137 +655,52 @@ _PRIM_BUILD = {
 }
 _PRIM_ARITY = {word: len(fields(cls)) for word, cls in _PRIM_BUILD.items()}
 _PRIM_NAMES = {cls: word for word, cls in reversed(_PRIM_BUILD.items())}
+_OBJ_ATOMS = {("IDENT", "p"): P, ("IDENT", "I"): UNIT, ("NUMBER", "0"): NULL}
+_OBJ_TEXT = {ObjP: "p", ObjI: "I", ObjZero: "0"}
 
 
-def _print_term(t: Term, level: int) -> str:
-    match t:
-        case Gen(name):
-            return name
-        case GenInv(name):
-            return f"inv({name})"
-        case Dagger(body):
-            s = _print_term(body, _T_POST) + "!"
-            return s if level <= _T_POST else f"({s})"
-        case Tens(left, right):
-            s = f"{_print_term(left, _T_TENSOR)} (x) {_print_term(right, _T_TENSOR + 1)}"
-            return s if level <= _T_TENSOR else f"({s})"
-        case Direct(left, right):
-            s = f"{_print_term(left, _T_OPLUS)} (+) {_print_term(right, _T_OPLUS + 1)}"
-            return s if level <= _T_OPLUS else f"({s})"
-        case Plus(left, right):
-            s = f"{_print_term(left, _T_PLUS)} + {_print_term(right, _T_PLUS + 1)}"
-            return s if level <= _T_PLUS else f"({s})"
-        case Comp(after, before):
-            s = f"{_print_term(after, _T_COMP)} . {_print_term(before, _T_COMP + 1)}"
-            return s if level <= _T_COMP else f"({s})"
-        case _:
-            keyword = _PRIM_NAMES[type(t)]
-            args = [getattr(t, f) for f in t.__dataclass_fields__]
-            inner = ", ".join(print_obj(x) for x in args)
-            return f"{keyword}[{inner}]"
+def print_term(t: Term | Obj) -> str:
+    """Text of a term or an object formula, with the fewest parentheses that
+    parse back to it: an operand is parenthesised when its operator has a
+    lower precedence than its place needs, which is the precedence of the
+    operator it is an operand of, one more on the right of an infix one.
 
-
-def print_term(t: Term) -> str:
-    return _print_term(t, 0)
-
-
-# ---------------------------------------------------------------------------
-# lexer and parser
-
-
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-_KEYWORDS = {"gens", "let", "check", "inv"}
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-
-    def advance(n: int) -> None:
-        nonlocal i, line, col
-        for _ in range(n):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    Writes the text in reading order from an explicit stack of nodes and
+    pieces, so neither depth nor the text kept grows with the nesting.
+    """
+    out: list[str] = []
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
             continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch == "(":
-            if text[i:i + 3] == "(x)":
-                tokens.append(_Token("TENSOR", "(x)", start_line, start_col))
-                advance(3)
-                continue
-            if text[i:i + 3] == "(+)":
-                tokens.append(_Token("OPLUS", "(+)", start_line, start_col))
-                advance(3)
-                continue
-            tokens.append(_Token("LPAREN", "(", start_line, start_col))
-            advance(1)
-            continue
-        if ch == "^":
-            if text[i:i + 2] == "^*":
-                tokens.append(_Token("STAR", "^*", start_line, start_col))
-                advance(2)
-                continue
-            raise ParseError("expected '^*'", start_line, start_col)
-        if ch == "=":
-            if text[i:i + 2] == "==":
-                tokens.append(_Token("EQEQ", "==", start_line, start_col))
-                advance(2)
-                continue
-            tokens.append(_Token("EQ", "=", start_line, start_col))
-            advance(1)
-            continue
-        simple = {")": "RPAREN", "[": "LBRACK", "]": "RBRACK", ",": "COMMA",
-                  ";": "SEMI", ".": "DOT", "+": "PLUS", "!": "BANG"}
-        if ch in simple:
-            tokens.append(_Token(simple[ch], ch, start_line, start_col))
-            advance(1)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word.upper() if word in _KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, word, start_line, start_col))
-            advance(j - i)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUMBER", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+        node, least = item
+        kind = type(node)
+        if kind in _OPERATORS:
+            prec, symbol = _OPERATORS[kind]
+            first, *rest = (getattr(node, name) for name in kind.__match_args__)
+            pieces = [(first, prec), symbol] + [(right, prec + 1) for right in rest]
+            if prec < least:
+                pieces = ["(", *pieces, ")"]
+        elif kind in _PRIM_NAMES:
+            pieces = [_PRIM_NAMES[kind] + "["]
+            for i, name in enumerate(kind.__match_args__):
+                pieces += [", "] * (i > 0) + [(getattr(node, name), 0)]
+            pieces.append("]")
+        elif kind is Gen:
+            pieces = [node.name]
+        elif kind is GenInv:
+            pieces = [f"inv({node.name})"]
+        elif kind in _OBJ_TEXT:
+            pieces = [_OBJ_TEXT[kind]]
+        else:
+            raise ValueError(f"not a term or object formula: {node!r}")
+        stack.extend(reversed(pieces))
+    return "".join(out)
+
+
+print_obj = print_term
 
 
 @dataclass
@@ -778,179 +718,139 @@ class Document:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], alphabet: Alphabet | None = None,
+    def __init__(self, tokens: list[Token], alphabet: Alphabet | None = None,
                  lets: dict[str, Term] | None = None):
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
         self.lets = dict(lets or {})
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text!r}", tok.line, tok.col)
-        return self.next()
+    def expect(self, kind: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2], tok[3])
+        self.pos += 1
+        return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    # objects
+    def expression(self, infix: dict, postfix: tuple[str, type], operand):
+        """An object formula or term: operands read by ``operand``, joined
+        by the operators of ``infix`` and ``postfix`` and grouped by
+        parentheses.  Operator precedence parsing (shunting-yard) over
+        explicit stacks, so nesting is not bounded by the recursion limit.
+        """
+        tokens = self.tokens
+        values: list = []
+        pending: list = []  # (precedence, constructor) of operators, None for "("
+        opened = 0
+        while True:
+            while tokens[self.pos][0] == "LPAREN":
+                self.pos += 1
+                pending.append(None)
+                opened += 1
+            values.append(operand())
+            while True:
+                kind = tokens[self.pos][0]
+                if kind == postfix[0]:
+                    values[-1] = postfix[1](values[-1])
+                elif kind == "RPAREN" and opened:
+                    _reduce(values, pending, 0)
+                    pending.pop()
+                    opened -= 1
+                else:
+                    break
+                self.pos += 1
+            op = infix.get(kind)
+            if op is None:
+                if opened:
+                    self.expect("RPAREN")
+                _reduce(values, pending, 0)
+                return values[0]
+            _reduce(values, pending, op[0])
+            pending.append(op)
+            self.pos += 1
 
     def obj(self) -> Obj:
-        left = self.obj_tensor()
-        while self.peek().kind == "OPLUS":
-            self.next()
-            left = OplusO(left, self.obj_tensor())
-        return left
-
-    def obj_tensor(self) -> Obj:
-        left = self.obj_post()
-        while self.peek().kind == "TENSOR":
-            self.next()
-            left = TensorO(left, self.obj_post())
-        return left
-
-    def obj_post(self) -> Obj:
-        atom = self.obj_atom()
-        while self.peek().kind == "STAR":
-            self.next()
-            atom = Star(atom)
-        return atom
+        return self.expression(_OBJ_INFIX, ("STAR", Star), self.obj_atom)
 
     def obj_atom(self) -> Obj:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "p":
-            self.next()
-            return P
-        if tok.kind == "IDENT" and tok.text == "I":
-            self.next()
-            return UNIT
-        if tok.kind == "NUMBER" and tok.text == "0":
-            self.next()
-            return NULL
-        if tok.kind == "LPAREN":
-            self.next()
-            inner = self.obj()
-            self.expect("RPAREN")
-            return inner
-        self.fail(f"expected an object, found {tok.text!r}")
-
-    # terms
-
-    def term(self) -> Term:
-        left = self.term_plus()
-        while self.peek().kind == "DOT":
-            self.next()
-            left = Comp(left, self.term_plus())
-        return left
-
-    def term_plus(self) -> Term:
-        left = self.term_oplus()
-        while self.peek().kind == "PLUS":
-            self.next()
-            left = Plus(left, self.term_oplus())
-        return left
-
-    def term_oplus(self) -> Term:
-        left = self.term_tensor()
-        while self.peek().kind == "OPLUS":
-            self.next()
-            left = Direct(left, self.term_tensor())
-        return left
-
-    def term_tensor(self) -> Term:
-        left = self.term_post()
-        while self.peek().kind == "TENSOR":
-            self.next()
-            left = Tens(left, self.term_post())
-        return left
-
-    def term_post(self) -> Term:
-        atom = self.term_atom()
-        while self.peek().kind == "BANG":
-            self.next()
-            atom = Dagger(atom)
+        tok = self.next()
+        atom = _OBJ_ATOMS.get(tok[:2])
+        if atom is None:
+            raise ParseError(f"expected an object, found {tok[1]!r}", tok[2], tok[3])
         return atom
 
+    def term(self) -> Term:
+        return self.expression(_TERM_INFIX, ("BANG", Dagger), self.term_atom)
+
     def term_atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "LPAREN":
-            self.next()
-            inner = self.term()
-            self.expect("RPAREN")
-            return inner
-        if tok.kind == "INV":
-            self.next()
+        tok = self.next()
+        kind, word = tok[0], tok[1]
+        if kind == "INV":
             self.expect("LPAREN")
             name = self.expect("IDENT")
             self.expect("RPAREN")
-            self._check_generator(name)
-            return GenInv(name.text)
-        if tok.kind == "IDENT":
-            word = tok.text
-            if word in _PRIM_ARITY:
-                self.next()
-                self.expect("LBRACK")
-                args = [self.obj()]
-                for _ in range(_PRIM_ARITY[word] - 1):
-                    self.expect("COMMA")
-                    args.append(self.obj())
-                self.expect("RBRACK")
-                return _PRIM_BUILD[word](*args)
-            self.next()
-            if word in self.lets:
-                return self.lets[word]
-            if self.alphabet is not None and word in self.alphabet.names:
-                return Gen(word)
-            raise ParseError(f"unknown name {word!r}", tok.line, tok.col)
-        self.fail(f"expected a term, found {tok.text!r}")
-
-    def _check_generator(self, tok: _Token) -> None:
-        if self.alphabet is None or tok.text not in self.alphabet.names:
-            raise ParseError(f"undeclared generator {tok.text!r}", tok.line, tok.col)
+            if self.alphabet is None or name[1] not in self.alphabet.names:
+                raise ParseError(f"undeclared generator {name[1]!r}", name[2], name[3])
+            return GenInv(name[1])
+        if kind != "IDENT":
+            raise ParseError(f"expected a term, found {word!r}", tok[2], tok[3])
+        if word in _PRIM_ARITY:
+            self.expect("LBRACK")
+            args = [self.obj()]
+            for _ in range(_PRIM_ARITY[word] - 1):
+                self.expect("COMMA")
+                args.append(self.obj())
+            self.expect("RBRACK")
+            return _PRIM_BUILD[word](*args)
+        if word in self.lets:
+            return self.lets[word]
+        if self.alphabet is not None and word in self.alphabet.names:
+            return Gen(word)
+        raise ParseError(f"unknown name {word!r}", tok[2], tok[3])
 
     # statements
 
     def document(self) -> Document:
         self.expect("GENS")
         names = []
-        while self.peek().kind == "IDENT":
-            names.append(self.next().text)
+        while self.tokens[self.pos][0] == "IDENT":
+            names.append(self.next()[1])
         self.expect("SEMI")
         self.alphabet = Alphabet(tuple(names))
         checks: list[CheckStmt] = []
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind == "LET":
-                self.next()
-                name_tok = self.expect("IDENT")
-                if (name_tok.text in _PRIM_ARITY or name_tok.text in self.lets
-                        or name_tok.text in self.alphabet.names):
-                    raise ParseError(f"name {name_tok.text!r} already in use",
-                                     name_tok.line, name_tok.col)
+        while self.tokens[self.pos][0] != "EOF":
+            kind, _, line, col = self.next()
+            if kind == "LET":
+                _, name, line, col = self.expect("IDENT")
+                if name in _PRIM_ARITY or name in self.lets or name in self.alphabet.names:
+                    raise ParseError(f"name {name!r} already in use", line, col)
                 self.expect("EQ")
                 body = self.term()
                 self.expect("SEMI")
-                self.lets[name_tok.text] = body
-            elif tok.kind == "CHECK":
-                self.next()
+                self.lets[name] = body
+            elif kind == "CHECK":
                 left = self.term()
                 self.expect("EQEQ")
                 right = self.term()
                 self.expect("SEMI")
-                checks.append(CheckStmt(left, right, tok.line))
+                checks.append(CheckStmt(left, right, line))
             else:
-                self.fail("expected 'let' or 'check'")
+                raise ParseError("expected 'let' or 'check'", line, col)
         return Document(self.alphabet, self.lets, checks)
+
+
+def _reduce(values: list, pending: list, least: int) -> None:
+    """Apply the pending infix operators of precedence ``least`` or more,
+    down to the innermost open parenthesis, to the operands they join."""
+    while pending and pending[-1] is not None and pending[-1][0] >= least:
+        _, build = pending.pop()
+        right = values.pop()
+        values[-1] = build(values[-1], right)
 
 
 def parse_document(text: str) -> Document:

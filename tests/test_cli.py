@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 from cobeq import cli
 from cobeq import protocols
 from cobeq import syntax as sx
+
+from conftest import SEED
 
 
 @pytest.fixture
@@ -199,17 +202,40 @@ def test_normalize_teleportation_diagonal(capsys):
         assert segment["label"] == "e"
 
 
-def test_check_too_deep_exit_three(corpus):
-    # Nesting past the Python recursion limit is an internal limit, not a
-    # refutation: one error line and exit 3, never a traceback and exit 1.
-    term = "(" * 200 + "b1" + ")" * 200
-    path = corpus("deep.ccc", f"gens b1;\ncheck {term} == b1;\n")
-    proc = subprocess.run([sys.executable, "-m", "cobeq.cli", "check", path],
-                          capture_output=True, text=True)
-    assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+def test_inputs_5000_deep_get_a_verdict(corpus, tmp_path):
+    # Nothing recurses on the depth of the input: at the default recursion
+    # limit, each check gets a verdict and each command its output.
+    rng = random.Random(SEED)
+    gadgets = ["sigma[p,p]", "(b1 (x) inv(b2))", "(id[p] (x) b3)", "(inv(b4) (x) b1)",
+               "(b2 (x) id[p])"]
+    chain = [rng.choice(gadgets) for _ in range(5000)]
+    factors = " (x) ".join(["p"] * 5000)
+    labels = [rng.choice(["b1", "b2!", "inv(b3)", "b4"]) for _ in range(5000)]
+    checks = {
+        "parens": ("(" * 5000 + "b1" + ")" * 5000, "b1"),
+        "regroup": (" . ".join(chain), " . (".join(chain) + ")" * 4999),
+        "tensor": (f"id[{factors}]", f"id[{factors}] . id[{factors}]"),
+        "dagger": ("b1" + "!" * 5000, "b1"),
+    }
+    deep = corpus("deep.ccc", "gens b1 b2 b3 b4;\nlet deep = "
+                  + " . (".join(labels) + ")" * 4999 + ";\n")
+    commands = {name: ["check", corpus(f"{name}.ccc", f"gens b1 b2 b3 b4;\n"
+                                       f"check {left} == {right};\n")]
+                for name, (left, right) in checks.items()}
+    commands["normalize"] = ["normalize", deep, "deep"]
+    commands["render"] = ["render", "--format", "json", "-o", str(tmp_path / "deep.json"),
+                          deep, "deep"]
+    procs = {name: subprocess.Popen([sys.executable, "-m", "cobeq", *args], text=True,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for name, args in commands.items()}
+    outputs = {}
+    for name, proc in procs.items():
+        outputs[name], err = proc.communicate(timeout=300)
+        assert proc.returncode == 0 and err == "", (name, err[-300:])
+    for name in checks:
+        assert outputs[name].endswith(": EQUAL\n"), name
+    assert json.loads(outputs["normalize"])["entries"][0][0]["terms"]
+    assert json.loads((tmp_path / "deep.json").read_text())["entries"]
 
 
 def test_check_depth_400_chains(capsys):

@@ -47,10 +47,21 @@ def test_agree_rejects_endpoint_mismatch():
 
 
 def test_invalid_assignment_rejected():
-    with pytest.raises(ValueError):
-        hb.eval_numeric(Gen("b1"), {"b1": np.zeros((2, 2))})
-    with pytest.raises(ValueError):
-        hb.eval_numeric(Gen("b1"), {"b1": np.eye(3)})
+    for value, message in ((np.zeros((2, 2)), "not invertible"), (np.eye(3), "not 2x2")):
+        with pytest.raises(ValueError, match=f"'b1' is {message}"):
+            hb.eval_numeric(Gen("b1"), {"b1": value})
+        with pytest.raises(ValueError, match=f"'b1' is {message}"):
+            hb.agree(Gen("b1"), Gen("b1"), assignment={"b1": value})
+
+
+def test_agree_checks_the_assignment_once(monkeypatch):
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m) or det(m))
+    left, right = protocols.legs("teleportation")
+    assignment = hb.random_unitary_assignment(random.Random(SEED))
+    assert hb.agree(left, right, 1e-9, assignment=assignment)
+    assert len(calls) == len(assignment)
 
 
 def test_protocol_legs_agree():

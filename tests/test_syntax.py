@@ -106,6 +106,33 @@ def test_roundtrip_random_terms():
         assert sx.parse_term(printed) == t, printed
 
 
+def _deep(rng, depth, leaf, postfix, infix):
+    """A node of the given depth: each step puts the node built so far under
+    the postfix operator, or under an infix one as its left or right operand
+    with a small random ``leaf()`` as the other."""
+    node = leaf()
+    for _ in range(depth):
+        op = rng.choice([postfix, *infix])
+        if op is postfix:
+            node = postfix(node)
+        elif rng.random() < 0.5:
+            node = op(node, leaf())
+        else:
+            node = op(leaf(), node)
+    return node
+
+
+def test_roundtrip_at_depth_3000():
+    rng = random.Random(SEED)
+    for _ in range(3):
+        a = _deep(rng, 3000, lambda: gl.rand_obj(rng, 2), Star, [TensorO, OplusO])
+        assert sx.parse_obj(sx.print_obj(a)) is a
+        t = _deep(rng, 3000, lambda: gl.rand_any_term(rng, depth=2), Dagger,
+                  [Comp, Plus, sx.Direct, Tens])
+        assert sx.parse_term(sx.print_term(t)) is t
+        assert sx.parse_term(sx.print_term(Comp(Id(a), t))) is Comp(Id(a), t)
+
+
 def test_eliminate_dagger_on_primitives():
     assert sx.eliminate_dagger(Dagger(Gen("b2"))) == GenInv("b2")
     assert sx.eliminate_dagger(Dagger(GenInv("b2"))) == Gen("b2")
