@@ -38,12 +38,12 @@ class _Node:
     (Filliâtre and Conchon, "Type-safe modular hash-consing", 2006).
 
     Building a node returns the one live node of equal structure, so equal
-    structure is one object: ``==`` is identity, and the hash is computed
-    once, at construction, from the cached hashes of the children.  Caches
-    keyed by nodes therefore cost O(1) per lookup whatever the term's size.
+    structure is one object: ``==`` and the hash are those of identity.
+    Caches keyed by nodes therefore cost O(1) per lookup whatever the
+    term's size, and so does the lookup of a new node's (class, *fields).
     """
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     def __new__(cls, *args):
         key = (cls, *args)
@@ -56,12 +56,8 @@ class _Node:
             node = object.__new__(cls)
             for name, value in zip(names, args):
                 object.__setattr__(node, name, value)
-            object.__setattr__(node, "_hash", hash(key))
             _NODES[key] = node
         return node
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -312,15 +308,21 @@ def _node_type(t: Term, alphabet: Alphabet,
     raise TypeCheckError(f"not a term: {t!r}")
 
 
+# The fields holding the children of each inner node, in the reverse of
+# the order `subterms` visits them: a composite's ``before`` comes ahead of
+# its ``after``, in the order its arrows run, so `typecheck` reports the
+# first error along a pipeline.
+_CHILDREN = {Dagger: ("body",), Star: ("arg",), Comp: ("after", "before"),
+             **{cls: ("right", "left") for cls in (Tens, Direct, Plus, TensorO, OplusO)}}
+
+
 def subterms(root: Term | Obj, done=()) -> list[Term | Obj]:
     """The distinct subterms of a term, or subformulas of an object formula,
     each after its own, root last.  Nodes in ``done`` (a memo of earlier
     results) are left out, and so is everything reached only through them.
 
     Walks the DAG with an explicit stack, so depth is not bounded by the
-    Python recursion limit.  A composite's ``before`` comes ahead of its
-    ``after``, in the order its arrows run, so `typecheck` reports the first
-    error along a pipeline.
+    Python recursion limit.
     """
     order: list[Term | Obj] = []
     seen: set[Term | Obj] = set()
@@ -334,16 +336,8 @@ def subterms(root: Term | Obj, done=()) -> list[Term | Obj]:
             continue
         seen.add(node)
         stack.append((node, True))
-        match node:
-            case Dagger(child) | Star(child):
-                stack.append((child, False))
-            case Tens(left, right) | Direct(left, right) | Plus(left, right) \
-                    | TensorO(left, right) | OplusO(left, right):
-                stack.append((right, False))
-                stack.append((left, False))
-            case Comp(after, before):
-                stack.append((after, False))
-                stack.append((before, False))
+        for name in _CHILDREN.get(type(node), ()):
+            stack.append((getattr(node, name), False))
     return order
 
 
