@@ -136,12 +136,12 @@ def _evaluate(t: Term, assignment: Assignment, alphabet: Alphabet) -> np.ndarray
     # The memo holds the matrix of each subterm and the dimension of each
     # object formula.  Values are shared between the subterms that use
     # them, so no array here is ever modified in place.
-    return sx.fold(t, {}, lambda node, values: _eval_node(node, assignment, values))
+    return sx.fold(t, {}, lambda node, memo: _eval_node(node, assignment, memo))
 
 
-def _eval_node(t: Term, assignment: Assignment,
-               values: dict[Term, np.ndarray]) -> np.ndarray:
-    """Matrix of one node, given the matrices of its immediate subterms."""
+def _eval_node(t: Term, assignment: Assignment, values: dict) -> np.ndarray:
+    """Matrix of one node, given the matrices of its immediate subterms;
+    the dimensions of its object formulas are memoised in ``values`` too."""
     def dim(a: Obj) -> int:
         return dim_of(a, values)
 

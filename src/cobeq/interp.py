@@ -164,7 +164,7 @@ def inj_proj(a: Obj, context: EvalContext | None = None) -> InjProjFamily:
     concatenates, composed with the binary injections or projections.
     """
     ctx = context or default_context()
-    return sx.fold(a, ctx.families, lambda node, families: _family(node, families, ctx))
+    return sx.fold(a, ctx.families, lambda node, memo: _family(node, memo, ctx))
 
 
 def _family(a: Obj, families: dict[Obj, InjProjFamily], ctx: EvalContext) -> InjProjFamily:
