@@ -650,7 +650,7 @@ _PRIM_BUILD = {
 _PRIM_ARITY = {word: len(fields(cls)) for word, cls in _PRIM_BUILD.items()}
 _PRIM_NAMES = {cls: word for word, cls in reversed(_PRIM_BUILD.items())}
 _OBJ_ATOMS = {("IDENT", "p"): P, ("IDENT", "I"): UNIT, ("NUMBER", "0"): NULL}
-_OBJ_TEXT = {ObjP: "p", ObjI: "I", ObjZero: "0"}
+_OBJ_TEXT = {type(atom): text for (_, text), atom in _OBJ_ATOMS.items()}
 
 
 def print_term(t: Term | Obj) -> str:
