@@ -66,7 +66,12 @@ PAULI_ASSIGNMENT: Assignment = {
 def dim_of(a: Obj, dims: dict | None = None) -> int:
     """Dimension of the space an object formula denotes.  ``dims`` memoises
     the dimension of every subformula."""
-    return sx.fold(a, {} if dims is None else dims, _dimension)
+    if dims is None:
+        dims = {}
+    if a not in dims:
+        for node in sx.subterms(a, dims):
+            dims[node] = _dimension(node, dims)
+    return dims[a]
 
 
 def _dimension(a: Obj, dims: dict[Obj, int]) -> int:
@@ -133,10 +138,12 @@ def eval_numeric(t: Term, assignment: Assignment | None = None,
 def _evaluate(t: Term, assignment: Assignment, alphabet: Alphabet) -> np.ndarray:
     """`eval_numeric` of an assignment already checked."""
     sx.typecheck(t, alphabet, default_context(alphabet).types)
-    # The memo holds the matrix of each subterm and the dimension of each
-    # object formula.  Values are shared between the subterms that use
-    # them, so no array here is ever modified in place.
-    return sx.fold(t, {}, lambda node, memo: _eval_node(node, assignment, memo))
+    # Matrices are shared between the subterms that use them, so no array
+    # here is ever modified in place.
+    values: dict = {}
+    for node in sx.subterms(t):
+        values[node] = _eval_node(node, assignment, values)
+    return values[t]
 
 
 def _eval_node(t: Term, assignment: Assignment, values: dict) -> np.ndarray:

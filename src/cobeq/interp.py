@@ -122,7 +122,11 @@ def _context(alphabet: Alphabet | None, context: EvalContext | None) -> EvalCont
 
 def interp_object(a: Obj, context: EvalContext | None = None) -> ObjList:
     """Object list denoted by an object formula."""
-    return sx.fold(a, (context or default_context()).objects, _object_list)
+    objects = (context or default_context()).objects
+    if a not in objects:
+        for node in sx.subterms(a, objects):
+            objects[node] = _object_list(node, objects)
+    return objects[a]
 
 
 def _object_list(a: Obj, objects: dict[Obj, ObjList]) -> ObjList:
@@ -164,7 +168,10 @@ def inj_proj(a: Obj, context: EvalContext | None = None) -> InjProjFamily:
     concatenates, composed with the binary injections or projections.
     """
     ctx = context or default_context()
-    return sx.fold(a, ctx.families, lambda node, memo: _family(node, memo, ctx))
+    if a not in ctx.families:
+        for node in sx.subterms(a, ctx.families):
+            ctx.families[node] = _family(node, ctx.families, ctx)
+    return ctx.families[a]
 
 
 def _family(a: Obj, families: dict[Obj, InjProjFamily], ctx: EvalContext) -> InjProjFamily:

@@ -248,8 +248,12 @@ def typecheck(t: Term, alphabet: Alphabet = DEFAULT_ALPHABET,
     the ``types`` of an `interp.EvalContext` for the same alphabet to keep
     them across calls.
     """
-    return fold(t, {} if types is None else types,
-                lambda node, memo: _node_type(node, alphabet, memo))
+    if types is None:
+        types = {}
+    if t not in types:
+        for node in subterms(t, types):
+            types[node] = _node_type(node, alphabet, types)
+    return types[t]
 
 
 def _node_type(t: Term, alphabet: Alphabet,
@@ -341,18 +345,6 @@ def subterms(root: Term | Obj, done=()) -> list[Term | Obj]:
     return order
 
 
-def fold(root: Term | Obj, memo: dict, step):
-    """``memo[root]``, computed if missing: ``step(node, memo)`` gives the
-    value of each node not yet in ``memo`` from the values of its children,
-    which `subterms` puts in ``memo`` first."""
-    hit = memo.get(root)
-    if hit is not None:
-        return hit
-    for node in subterms(root, memo):
-        memo[node] = step(node, memo)
-    return memo[root]
-
-
 # ---------------------------------------------------------------------------
 # dagger elimination
 
@@ -366,7 +358,10 @@ def eliminate_dagger(t: Term) -> Term:
     injections exchange, and generator daggers become generator inverses.
     Each node gets its dagger-free form and that of its dagger in one pass.
     """
-    return fold(t, {}, _dagger_forms)[0]
+    forms: dict[Term, tuple[Term, Term]] = {}
+    for node in subterms(t):
+        forms[node] = _dagger_forms(node, forms)
+    return forms[t][0]
 
 
 # The dagger of each primitive that is a primitive of the same arguments.
@@ -650,7 +645,9 @@ _PRIM_BUILD = {
 _PRIM_ARITY = {word: len(fields(cls)) for word, cls in _PRIM_BUILD.items()}
 _PRIM_NAMES = {cls: word for word, cls in reversed(_PRIM_BUILD.items())}
 _OBJ_ATOMS = {("IDENT", "p"): P, ("IDENT", "I"): UNIT, ("NUMBER", "0"): NULL}
-_OBJ_TEXT = {type(atom): text for (_, text), atom in _OBJ_ATOMS.items()}
+# Text of each atom, formatted with its fields.
+_ATOM_TEXT = {Gen: "{}", GenInv: "inv({})",
+              **{type(atom): text for (_, text), atom in _OBJ_ATOMS.items()}}
 
 
 def print_term(t: Term | Obj) -> str:
@@ -685,12 +682,8 @@ def print_term(t: Term | Obj) -> str:
             for arg in args[1:]:
                 pieces += [", ", (arg, 0)]
             pieces.append("]")
-        elif cls is Gen:
-            pieces = [node.name]
-        elif cls is GenInv:
-            pieces = [f"inv({node.name})"]
         else:
-            pieces = [_OBJ_TEXT[cls]]
+            pieces = [_ATOM_TEXT[cls].format(*args)]
         stack.extend(reversed(pieces))
     return "".join(out)
 
