@@ -1,5 +1,5 @@
 """Golden output: the full text that ``cobeq check``, ``normalize`` and
-``render --format json`` print for a fixed set of inputs.
+``render`` print for a fixed set of inputs.
 
 The expected text lives in ``tests/golden/``.  Refactors of the value layer
 must leave it byte-identical.  To regenerate after an intended change of
@@ -20,12 +20,15 @@ from cobeq import syntax as sx
 
 GOLDEN = Path(__file__).parent / "golden"
 BASICS = Path(__file__).parent.parent / "corpus" / "basics.ccc"
+BIPRODUCTS = Path(__file__).parent / "biproducts.ccc"
 
 CONTROLS = {
     "teleportation": protocols.teleportation_legs_perturbed,
     "swap": protocols.entanglement_swap_legs_perturbed,
 }
 BASICS_LETS = ("loop", "turn_12")
+BIPRODUCT_LETS = ("sigma_sums", "eta_sum", "eps_sum", "tensor_zero", "tensor_sums", "loops")
+FORMATS = ("json", "svg", "dot")
 
 
 def control_source(name: str) -> str:
@@ -54,9 +57,9 @@ def _capture(argv: list[str], workdir: Path) -> tuple[int, str]:
     return status, out.getvalue()
 
 
-def _render_json(name: str, workdir: Path) -> str:
-    target = workdir / f"{name}.json"
-    status, _ = _capture(["render", str(BASICS), name, "--format", "json",
+def _render(source: Path, name: str, fmt: str, workdir: Path) -> str:
+    target = workdir / f"{name}.{fmt}"
+    status, _ = _capture(["render", str(source), name, "--format", fmt,
                           "-o", str(target)], workdir)
     assert status == 0
     return target.read_text(encoding="utf-8")
@@ -73,7 +76,13 @@ def _outputs(workdir: Path) -> dict[str, str]:
         status, text = _capture(["normalize", str(BASICS), name], workdir)
         assert status == 0
         outputs[f"normalize_{name}.json"] = text
-        outputs[f"render_{name}.json"] = _render_json(name, workdir)
+        outputs[f"render_{name}.json"] = _render(BASICS, name, "json", workdir)
+    for name in BIPRODUCT_LETS:
+        status, text = _capture(["normalize", str(BIPRODUCTS), name], workdir)
+        assert status == 0
+        outputs[f"normalize_{name}.json"] = text
+        for fmt in FORMATS:
+            outputs[f"render_{name}.{fmt}"] = _render(BIPRODUCTS, name, fmt, workdir)
     return outputs
 
 
@@ -93,8 +102,22 @@ def test_normalize_basics(name, tmp_path):
 
 @pytest.mark.parametrize("name", BASICS_LETS)
 def test_render_json_basics(name, tmp_path):
-    text = _render_json(name, tmp_path)
+    text = _render(BASICS, name, "json", tmp_path)
     assert text == (GOLDEN / f"render_{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", BIPRODUCT_LETS)
+def test_normalize_biproducts(name, tmp_path):
+    status, text = _capture(["normalize", str(BIPRODUCTS), name], tmp_path)
+    assert status == 0
+    assert text == (GOLDEN / f"normalize_{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", BIPRODUCT_LETS)
+def test_render_biproducts(name, fmt, tmp_path):
+    text = _render(BIPRODUCTS, name, fmt, tmp_path)
+    assert text == (GOLDEN / f"render_{name}.{fmt}").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
