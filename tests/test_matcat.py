@@ -8,6 +8,7 @@ from cobeq import cobsum as cs
 from cobeq import freegroup as fg
 from cobeq import matcat as mc
 
+import dense
 import genlib as gl
 from axioms import EQUALITIES
 from conftest import SEED
@@ -251,6 +252,48 @@ def test_star_additive():
         a, b = gl.rand_objlist(rng, 2), gl.rand_objlist(rng, 2)
         f, g = gl.rand_mat(rng, a, b), gl.rand_mat(rng, a, b)
         assert mc.star(mc.add(f, g)) == mc.add(mc.star(f), mc.star(g))
+
+
+def _sparse_mat(rng, a, b, density=0.5):
+    """Random a -> b matrix whose entries are mostly ZERO."""
+    rows = [[gl.rand_cobsum(rng, x, y) if rng.random() < density else cs.ZERO
+             for x in a] for y in b]
+    return mc.matarrow(a, b, rows)
+
+
+# Components for _objlists: mostly of the same net sign, so that many
+# entries have members to draw from.
+_COMPONENTS = tuple(cob.seq(s) for s in ("", "+", "+", "+-", "-+", "++-"))
+
+
+def _objlists(rng, count):
+    """Object lists of up to 6 components, the zero object and the unit
+    (one empty sign sequence) among them."""
+    pool = [mc.ZERO_OBJ, mc.UNIT] + [
+        tuple(rng.choice(_COMPONENTS) for _ in range(rng.randint(1, 6))) for _ in range(4)]
+    return [rng.choice(pool) for _ in range(count)]
+
+
+def test_operations_match_the_dense_reference():
+    rng = random.Random(SEED + 17)
+    for _ in range(150):
+        a, b, c, d = _objlists(rng, 4)
+        f, f2 = _sparse_mat(rng, a, b), _sparse_mat(rng, a, b)
+        g, h = _sparse_mat(rng, b, c), _sparse_mat(rng, c, d)
+        assert mc.compose(g, f) == dense.compose(g, f)
+        assert mc.add(f, f2) == dense.add(f, f2)
+        assert mc.tensor(f, h) == dense.tensor(f, h)
+        assert mc.oplus(f, h) == dense.oplus(f, h)
+        assert mc.dagger(f) == dense.dagger(f)
+        assert mc.star(f) == dense.star(f)
+
+
+def test_injections_are_daggers_of_projections():
+    rng = random.Random(SEED + 18)
+    for _ in range(40):
+        a, b = _objlists(rng, 2)
+        assert mc.iota1(a, b) == dense.dagger(mc.pi1(a, b))
+        assert mc.iota2(a, b) == dense.dagger(mc.pi2(a, b))
 
 
 def test_type_errors():
