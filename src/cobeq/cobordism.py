@@ -109,14 +109,14 @@ def gcob(src, tgt, segments, circles=()) -> GCob:
     return GCob(src, tgt, segs, circs)
 
 
+def _wire(src: ObjectSeq, tgt: ObjectSeq, p: Point, q: Point) -> Segment:
+    """The segment labelled e joining boundary points p and q, run from
+    whichever of them is initial."""
+    return Segment(p, q, E) if _is_initial(src, tgt, p) else Segment(q, p, E)
+
+
 def identity(a: ObjectSeq) -> GCob:
-    segs = []
-    for i, sign in enumerate(a):
-        if sign == PLUS:
-            segs.append(Segment((SRC, i), (TGT, i), E))
-        else:
-            segs.append(Segment((TGT, i), (SRC, i), E))
-    return gcob(a, a, segs)
+    return permutation(a, range(len(a)))
 
 
 def circle(label: GroupWord | CyclicWord) -> GCob:
@@ -216,30 +216,14 @@ def eta(a: ObjectSeq) -> GCob:
     len(a)-1-i, all labeled e."""
     n = len(a)
     tgt = dual_object(a) + a
-    segs = []
-    for i in range(n):
-        left = (TGT, i)
-        right = (TGT, n + (n - 1 - i))
-        if a[n - 1 - i] == PLUS:
-            segs.append(Segment(left, right, E))
-        else:
-            segs.append(Segment(right, left, E))
-    return gcob(O, tgt, segs)
+    return gcob(O, tgt, [_wire(O, tgt, (TGT, i), (TGT, 2 * n - 1 - i)) for i in range(n)])
 
 
 def eps(a: ObjectSeq) -> GCob:
     """Counit a (x) a* -> o, mirror image of eta."""
     n = len(a)
     src = a + dual_object(a)
-    segs = []
-    for i in range(n):
-        left = (SRC, i)
-        right = (SRC, n + (n - 1 - i))
-        if a[i] == PLUS:
-            segs.append(Segment(left, right, E))
-        else:
-            segs.append(Segment(right, left, E))
-    return gcob(src, O, segs)
+    return gcob(src, O, [_wire(src, O, (SRC, i), (SRC, 2 * n - 1 - i)) for i in range(n)])
 
 
 def _remap(f: GCob, src, tgt, move) -> GCob:
@@ -291,15 +275,10 @@ def permutation(a: ObjectSeq, perm) -> GCob:
     if sorted(perm) != list(range(len(a))):
         raise ValueError(f"{perm} is not a permutation of {len(a)} positions")
     tgt = [0] * len(a)
-    for i, sign in enumerate(a):
-        tgt[perm[i]] = sign
-    segs = []
-    for i, sign in enumerate(a):
-        if sign == PLUS:
-            segs.append(Segment((SRC, i), (TGT, perm[i]), E))
-        else:
-            segs.append(Segment((TGT, perm[i]), (SRC, i), E))
-    return gcob(a, tuple(tgt), segs)
+    for i, k in enumerate(perm):
+        tgt[k] = a[i]
+    tgt = tuple(tgt)
+    return gcob(a, tgt, [_wire(a, tgt, (SRC, i), (TGT, k)) for i, k in enumerate(perm)])
 
 
 def sigma(a: ObjectSeq, b: ObjectSeq) -> GCob:

@@ -5,7 +5,9 @@ object, distinct from the singleton list holding the empty sequence (the
 tensor unit).  An arrow from an n-list to an m-list is an m x n grid of
 multiset entries, composed by matrix multiplication over (add, compose).
 The matrix alone owns the types: entry (i, j) is typed src[j] -> tgt[i],
-and every zero entry is the one untyped ``cobsum.ZERO``.
+and every zero entry is the one untyped ``cobsum.ZERO``.  Every arrow is
+built from its nonzero entries, and every operation reads only those of
+its operands.
 The compact closed structure is strict: associativity and unit arrows are
 identity matrices, tensor is the Kronecker product, dual acts componentwise.
 """
@@ -64,23 +66,32 @@ def dual_obj(a: ObjList) -> ObjList:
     return tuple(cob.dual_object(x) for x in a)
 
 
+def _from_support(src, tgt, support: dict) -> MatArrow:
+    """The matrix src -> tgt whose entry (i, j) is support[i, j], and the
+    shared ``cobsum.ZERO`` off the support."""
+    rows = [[cs.ZERO] * len(src) for _ in tgt]
+    for (i, j), x in support.items():
+        rows[i][j] = x
+    return matarrow(src, tgt, rows)
+
+
+def _support(x: MatArrow) -> dict:
+    """The nonzero entries of x, keyed by (row, column)."""
+    return {(i, j): e for i, row in enumerate(x.entries)
+            for j, e in enumerate(row) if e.terms}
+
+
+def _diagonal(a: ObjList, row: int = 0, col: int = 0) -> dict:
+    """Identity cobordisms of a's components on a diagonal from (row, col)."""
+    return {(row + k, col + k): cs.single(cob.identity(x)) for k, x in enumerate(a)}
+
+
 def identity(a: ObjList) -> MatArrow:
-    a = tuple(a)
-    n = len(a)
-    rows = [
-        [
-            cs.single(cob.identity(a[i])) if i == j else cs.ZERO
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return matarrow(a, a, rows)
+    return _from_support(a, a, _diagonal(a))
 
 
 def zero(a: ObjList, b: ObjList) -> MatArrow:
-    a, b = tuple(a), tuple(b)
-    rows = [[cs.ZERO] * len(a) for _ in b]
-    return matarrow(a, b, rows)
+    return _from_support(a, b, {})
 
 
 def compose(after: MatArrow, before: MatArrow) -> MatArrow:
@@ -91,139 +102,89 @@ def compose(after: MatArrow, before: MatArrow) -> MatArrow:
     """
     if after.src != before.tgt:
         raise TypeMismatch(f"middle objects differ: {after.src} vs {before.tgt}")
-    a, b, c = before.src, before.tgt, after.tgt
-    rows = []
-    for i in range(len(c)):
-        row = []
-        for j in range(len(a)):
-            acc = cs.ZERO
-            for k in range(len(b)):
-                x = after.entries[i][k]
-                y = before.entries[k][j]
-                if cs.is_zero(x) or cs.is_zero(y):
-                    continue
-                acc = cs.add(acc, cs.compose(x, y))
-            row.append(acc)
-        rows.append(row)
-    return matarrow(a, c, rows)
+    by_row: dict[int, list] = {}
+    for (k, j), y in _support(before).items():
+        by_row.setdefault(k, []).append((j, y))
+    out: dict = {}
+    for (i, k), x in _support(after).items():
+        for j, y in by_row.get(k, ()):
+            out[i, j] = cs.add(out.get((i, j), cs.ZERO), cs.compose(x, y))
+    return _from_support(before.src, after.tgt, out)
 
 
 def add(x: MatArrow, y: MatArrow) -> MatArrow:
     if x.src != y.src or x.tgt != y.tgt:
         raise TypeMismatch("sum of differently typed matrices")
-    rows = [
-        [cs.add(x.entries[i][j], y.entries[i][j]) for j in range(len(x.src))]
-        for i in range(len(x.tgt))
-    ]
-    return matarrow(x.src, x.tgt, rows)
+    out = _support(x)
+    for ij, e in _support(y).items():
+        out[ij] = cs.add(out.get(ij, cs.ZERO), e)
+    return _from_support(x.src, x.tgt, out)
 
 
 def tensor(x: MatArrow, y: MatArrow) -> MatArrow:
     """Kronecker product; either factor on the zero object collapses all."""
-    src = tensor_obj(x.src, y.src)
-    tgt = tensor_obj(x.tgt, y.tgt)
-    rows = []
-    for i in range(len(x.tgt)):
-        for i2 in range(len(y.tgt)):
-            row = []
-            for j in range(len(x.src)):
-                for j2 in range(len(y.src)):
-                    row.append(cs.tensor(x.entries[i][j], y.entries[i2][j2]))
-            rows.append(row)
-    return matarrow(src, tgt, rows)
+    m, n = len(y.tgt), len(y.src)
+    ys = _support(y).items()
+    return _from_support(tensor_obj(x.src, y.src), tensor_obj(x.tgt, y.tgt), {
+        (i * m + k, j * n + l): cs.tensor(e, f)
+        for (i, j), e in _support(x).items() for (k, l), f in ys})
 
 
 def oplus(x: MatArrow, y: MatArrow) -> MatArrow:
-    src = oplus_obj(x.src, y.src)
-    tgt = oplus_obj(x.tgt, y.tgt)
-    n1, n2 = len(x.src), len(y.src)
-    rows = []
-    for i in range(len(x.tgt)):
-        rows.append(list(x.entries[i]) + [cs.ZERO] * n2)
-    for i in range(len(y.tgt)):
-        rows.append([cs.ZERO] * n1 + list(y.entries[i]))
-    return matarrow(src, tgt, rows)
+    m, n = len(x.tgt), len(x.src)
+    out = _support(x)
+    out.update({(m + i, n + j): e for (i, j), e in _support(y).items()})
+    return _from_support(oplus_obj(x.src, y.src), oplus_obj(x.tgt, y.tgt), out)
 
 
 def dagger(x: MatArrow) -> MatArrow:
-    rows = [
-        [cs.dagger(x.entries[i][j]) for i in range(len(x.tgt))]
-        for j in range(len(x.src))
-    ]
-    return matarrow(x.tgt, x.src, rows)
+    return _from_support(x.tgt, x.src, {
+        (j, i): cs.dagger(e) for (i, j), e in _support(x).items()})
 
 
 def star(x: MatArrow) -> MatArrow:
     """Transpose with entrywise transpose, typed b* -> a*."""
-    rows = [
-        [cs.star(x.entries[i][j]) for i in range(len(x.tgt))]
-        for j in range(len(x.src))
-    ]
-    return matarrow(dual_obj(x.tgt), dual_obj(x.src), rows)
+    return _from_support(dual_obj(x.tgt), dual_obj(x.src), {
+        (j, i): cs.star(e) for (i, j), e in _support(x).items()})
 
 
 def pi1(a: ObjList, b: ObjList) -> MatArrow:
-    a, b = tuple(a), tuple(b)
-    src = oplus_obj(a, b)
-    rows = [
-        list(identity(a).entries[i]) + [cs.ZERO] * len(b)
-        for i in range(len(a))
-    ]
-    return matarrow(src, a, rows)
+    return _from_support(oplus_obj(a, b), a, _diagonal(a))
 
 
 def pi2(a: ObjList, b: ObjList) -> MatArrow:
-    a, b = tuple(a), tuple(b)
-    src = oplus_obj(a, b)
-    rows = [
-        [cs.ZERO] * len(a) + list(identity(b).entries[i])
-        for i in range(len(b))
-    ]
-    return matarrow(src, b, rows)
+    return _from_support(oplus_obj(a, b), b, _diagonal(b, 0, len(a)))
 
 
 def iota1(a: ObjList, b: ObjList) -> MatArrow:
-    return dagger(pi1(a, b))
+    return _from_support(a, oplus_obj(a, b), _diagonal(a))
 
 
 def iota2(a: ObjList, b: ObjList) -> MatArrow:
-    return dagger(pi2(a, b))
+    return _from_support(b, oplus_obj(a, b), _diagonal(b, len(a), 0))
 
 
 def sigma(a: ObjList, b: ObjList) -> MatArrow:
     """Symmetry as the block permutation matrix whose support carries the
     componentwise symmetry cobordisms."""
-    a, b = tuple(a), tuple(b)
     n, m = len(a), len(b)
-    src = tensor_obj(a, b)
-    tgt = tensor_obj(b, a)
-    rows = [[cs.ZERO] * (n * m) for _ in range(m * n)]
-    for i in range(n):
-        for j in range(m):
-            rows[j * n + i][i * m + j] = cs.single(cob.sigma(a[i], b[j]))
-    return matarrow(src, tgt, rows)
+    return _from_support(tensor_obj(a, b), tensor_obj(b, a), {
+        (j * n + i, i * m + j): cs.single(cob.sigma(x, y))
+        for i, x in enumerate(a) for j, y in enumerate(b)})
 
 
 def eta(a: ObjList) -> MatArrow:
     """Unit I -> a* (x) a: component units on the diagonal rows k*(n+1)."""
-    a = tuple(a)
     n = len(a)
-    tgt = tensor_obj(dual_obj(a), a)
-    rows = [[cs.ZERO] for _ in range(n * n)]
-    for k in range(n):
-        rows[k * (n + 1)][0] = cs.single(cob.eta(a[k]))
-    return matarrow(UNIT, tgt, rows)
+    return _from_support(UNIT, tensor_obj(dual_obj(a), a), {
+        (k * (n + 1), 0): cs.single(cob.eta(x)) for k, x in enumerate(a)})
 
 
 def eps(a: ObjList) -> MatArrow:
     """Counit a (x) a* -> I: component counits in the columns k*(n+1)."""
-    a = tuple(a)
     n = len(a)
-    src = tensor_obj(a, dual_obj(a))
-    row = [cs.ZERO] * (n * n)
-    for k in range(n):
-        row[k * (n + 1)] = cs.single(cob.eps(a[k]))
-    return matarrow(src, UNIT, [row])
+    return _from_support(tensor_obj(a, dual_obj(a)), UNIT, {
+        (0, k * (n + 1)): cs.single(cob.eps(x)) for k, x in enumerate(a)})
 
 
 def tuple_(parts: list[MatArrow]) -> MatArrow:
