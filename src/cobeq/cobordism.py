@@ -73,17 +73,12 @@ class GCob:
     circles: tuple[CyclicWord, ...]
 
 
-def _sign_at(src: ObjectSeq, tgt: ObjectSeq, point: Point) -> int:
+def _is_initial(src: ObjectSeq, tgt: ObjectSeq, point: Point) -> bool:
     side, i = point
     signs = src if side == SRC else tgt
     if not 0 <= i < len(signs):
         raise ValueError(f"boundary point {point} out of range")
-    return signs[i]
-
-
-def _is_initial(src: ObjectSeq, tgt: ObjectSeq, point: Point) -> bool:
-    sign = _sign_at(src, tgt, point)
-    return sign == (PLUS if point[0] == SRC else MINUS)
+    return signs[i] == (PLUS if side == SRC else MINUS)
 
 
 def gcob(src, tgt, segments, circles=()) -> GCob:
@@ -226,33 +221,6 @@ def eps(a: ObjectSeq) -> GCob:
     return gcob(src, O, [_wire(src, O, (SRC, i), (SRC, 2 * n - 1 - i)) for i in range(n)])
 
 
-def _remap(f: GCob, src, tgt, move) -> GCob:
-    segs = [Segment(move(s.start), move(s.end), s.label) for s in f.segments]
-    return gcob(src, tgt, segs, f.circles)
-
-
-def name(f: GCob) -> GCob:
-    """Bend f: a -> b into o -> a* (x) b, keeping labels."""
-    n = len(f.src)
-
-    def move(p: Point) -> Point:
-        side, i = p
-        return (TGT, n - 1 - i) if side == SRC else (TGT, n + i)
-
-    return _remap(f, O, dual_object(f.src) + f.tgt, move)
-
-
-def coname(f: GCob) -> GCob:
-    """Bend f: a -> b into a (x) b* -> o, keeping labels."""
-    n, m = len(f.src), len(f.tgt)
-
-    def move(p: Point) -> Point:
-        side, i = p
-        return (SRC, i) if side == SRC else (SRC, n + (m - 1 - i))
-
-    return _remap(f, f.src + dual_object(f.tgt), O, move)
-
-
 def transpose_star(f: GCob) -> GCob:
     """The transpose f*: b* -> a*, keeping labels and directions."""
     n, m = len(f.src), len(f.tgt)
@@ -261,12 +229,8 @@ def transpose_star(f: GCob) -> GCob:
         side, i = p
         return (TGT, n - 1 - i) if side == SRC else (SRC, m - 1 - i)
 
-    return _remap(f, dual_object(f.tgt), dual_object(f.src), move)
-
-
-def lower_star(f: GCob) -> GCob:
-    """f_* = (f dagger)*: a* -> b*, with all labels inverted."""
-    return transpose_star(dagger(f))
+    segs = [Segment(move(s.start), move(s.end), s.label) for s in f.segments]
+    return gcob(dual_object(f.tgt), dual_object(f.src), segs, f.circles)
 
 
 def permutation(a: ObjectSeq, perm) -> GCob:
@@ -284,8 +248,7 @@ def permutation(a: ObjectSeq, perm) -> GCob:
 def sigma(a: ObjectSeq, b: ObjectSeq) -> GCob:
     """Symmetry a (x) b -> b (x) a."""
     n, m = len(a), len(b)
-    perm = [m + i for i in range(n)] + [j for j in range(m)]
-    return permutation(a + b, perm)
+    return permutation(a + b, [*range(m, m + n), *range(m)])
 
 
 def sort_key(f: GCob):

@@ -102,12 +102,10 @@ def compose(after: MatArrow, before: MatArrow) -> MatArrow:
     """
     if after.src != before.tgt:
         raise TypeMismatch(f"middle objects differ: {after.src} vs {before.tgt}")
-    by_row: dict[int, list] = {}
-    for (k, j), y in _support(before).items():
-        by_row.setdefault(k, []).append((j, y))
+    rows = [[(j, y) for j, y in enumerate(row) if y.terms] for row in before.entries]
     out: dict = {}
     for (i, k), x in _support(after).items():
-        for j, y in by_row.get(k, ()):
+        for j, y in rows[k]:
             out[i, j] = cs.add(out.get((i, j), cs.ZERO), cs.compose(x, y))
     return _from_support(before.src, after.tgt, out)
 
@@ -132,9 +130,8 @@ def tensor(x: MatArrow, y: MatArrow) -> MatArrow:
 
 def oplus(x: MatArrow, y: MatArrow) -> MatArrow:
     m, n = len(x.tgt), len(x.src)
-    out = _support(x)
-    out.update({(m + i, n + j): e for (i, j), e in _support(y).items()})
-    return _from_support(oplus_obj(x.src, y.src), oplus_obj(x.tgt, y.tgt), out)
+    return _from_support(oplus_obj(x.src, y.src), oplus_obj(x.tgt, y.tgt), {
+        **_support(x), **{(m + i, n + j): e for (i, j), e in _support(y).items()}})
 
 
 def dagger(x: MatArrow) -> MatArrow:
@@ -185,76 +182,6 @@ def eps(a: ObjList) -> MatArrow:
     n = len(a)
     return _from_support(tensor_obj(a, dual_obj(a)), UNIT, {
         (0, k * (n + 1)): cs.single(cob.eps(x)) for k, x in enumerate(a)})
-
-
-def tuple_(parts: list[MatArrow]) -> MatArrow:
-    """Stack vertically: the tuple into the concatenated target."""
-    if not parts:
-        raise ValueError("tuple of no arrows")
-    src = parts[0].src
-    if any(p.src != src for p in parts):
-        raise TypeMismatch("tuple requires a common source")
-    tgt = tuple(b for p in parts for b in p.tgt)
-    rows = [row for p in parts for row in p.entries]
-    return matarrow(src, tgt, rows)
-
-
-def cotuple(parts: list[MatArrow]) -> MatArrow:
-    """Stack horizontally: the cotuple out of the concatenated source."""
-    if not parts:
-        raise ValueError("cotuple of no arrows")
-    tgt = parts[0].tgt
-    if any(p.tgt != tgt for p in parts):
-        raise TypeMismatch("cotuple requires a common target")
-    src = tuple(a for p in parts for a in p.src)
-    rows = [
-        [x for p in parts for x in p.entries[i]]
-        for i in range(len(tgt))
-    ]
-    return matarrow(src, tgt, rows)
-
-
-def name(x: MatArrow) -> MatArrow:
-    """(a* (x) x) o eta_a : I -> a* (x) b."""
-    return compose(tensor(identity(dual_obj(x.src)), x), eta(x.src))
-
-
-def coname(x: MatArrow) -> MatArrow:
-    """eps_b o (x (x) b*) : a (x) b* -> I."""
-    return compose(eps(x.tgt), tensor(x, identity(dual_obj(x.tgt))))
-
-
-def trace(x: MatArrow) -> MatArrow:
-    """Close an endomorphism into a scalar:
-    eps_a o (x (x) a*) o sigma_{a*,a} o eta_a."""
-    if x.src != x.tgt:
-        raise TypeMismatch("trace needs an endomorphism")
-    a = x.src
-    loop = compose(tensor(x, identity(dual_obj(a))), sigma(dual_obj(a), a))
-    return compose(eps(a), compose(loop, eta(a)))
-
-
-def scalar_act(s: MatArrow, x: MatArrow) -> MatArrow:
-    """s-fold rescaling x o s_a, where s_a = s (x) 1_a in the strict model."""
-    if s.src != UNIT or s.tgt != UNIT:
-        raise TypeMismatch("scalar must be typed I -> I")
-    return compose(x, tensor(s, identity(x.src)))
-
-
-def distrib_tau(a: ObjList, b: ObjList, c: ObjList) -> MatArrow:
-    """a (x) (b (+) c) -> (a (x) b) (+) (a (x) c), from its defining tuple."""
-    return tuple_([
-        tensor(identity(a), pi1(b, c)),
-        tensor(identity(a), pi2(b, c)),
-    ])
-
-
-def distrib_upsilon(a: ObjList, b: ObjList, c: ObjList) -> MatArrow:
-    """(a (+) b) (x) c -> (a (x) c) (+) (b (x) c), from its defining tuple."""
-    return tuple_([
-        tensor(pi1(a, b), identity(c)),
-        tensor(pi2(a, b), identity(c)),
-    ])
 
 
 def to_jsonable(x: MatArrow, alphabet: Alphabet = DEFAULT_ALPHABET) -> dict:

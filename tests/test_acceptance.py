@@ -17,6 +17,7 @@ from cobeq import matcat as mc
 from cobeq import protocols
 from cobeq import syntax as sx
 
+import derived as dv
 import genlib as gl
 from axioms import EQUALITIES
 from conftest import SEED
@@ -190,7 +191,7 @@ def test_criterion_7_structural_strictness():
         src, _ = sx.typecheck(ups)
         assert interp.H(ups) == mc.identity(interp.interp_object(src))
         la, lb, lc = (interp.interp_object(x) for x in (a, b, c))
-        assert mc.distrib_upsilon(la, lb, lc) == mc.identity(
+        assert dv.distrib_upsilon(la, lb, lc) == mc.identity(
             mc.tensor_obj(mc.oplus_obj(la, lb), lc))
         if _sum_free(a) and _sum_free(b):
             src, _ = sx.typecheck(sx.u_term(a, b))
