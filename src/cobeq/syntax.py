@@ -59,12 +59,35 @@ class _Node:
             _NODES[key] = node
         return node
 
+    def __repr__(self):
+        return f"<{type(self).__name__} {print_term(self)}>"
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # A post-order table of the nodes below, node fields given as rows
+        # (the others are strings): neither pickling nor unpickling recurses.
+        row, table, stack = {}, [], [self]
+        while stack:
+            node = stack[-1]
+            args = [getattr(node, name) for name in node.__match_args__]
+            todo = [a for a in args if isinstance(a, _Node) and a not in row]
+            if todo:
+                stack += todo
+            elif stack.pop() not in row:
+                row[node] = len(table)
+                table.append((type(node), *(row.get(a, a) for a in args)))
+        return _unpickle, (table,)
 
 
-# Fields are set once, by _Node.__new__; eq=False keeps identity equality.
-_node = dataclass(frozen=True, eq=False, init=False, slots=True)
+def _unpickle(table):
+    nodes = []
+    for cls, *args in table:
+        nodes.append(cls(*(nodes[a] if isinstance(a, int) else a for a in args)))
+    return nodes[-1]
+
+
+# Fields are set once, by _Node.__new__; eq=False keeps identity equality,
+# and _Node's repr prints the node's text without recursing.
+_node = dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
 
 
 # ---------------------------------------------------------------------------

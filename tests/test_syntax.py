@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 
 import pytest
@@ -131,6 +132,22 @@ def test_roundtrip_at_depth_3000():
                   [Comp, Plus, sx.Direct, Tens])
         assert sx.parse_term(sx.print_term(t)) is t
         assert sx.parse_term(sx.print_term(Comp(Id(a), t))) is Comp(Id(a), t)
+
+
+def test_repr_and_pickle_at_depth_5000():
+    gadgets = ["sigma[p,p]", "(b1 (x) inv(b2))", "(id[p] (x) b3)", "(inv(b4) (x) b1)",
+               "(b2 (x) id[p])"]
+    rng = random.Random(SEED)
+    chain = sx.parse_term(" . ".join(rng.choice(gadgets) for _ in range(5000)))
+    daggers = sx.parse_term("b1" + "!" * 5000)
+    wide = Id(sx.parse_obj(" (x) ".join(["p"] * 5000)))
+    for t in (daggers, chain, wide):
+        assert repr(t) == f"<{type(t).__name__} {sx.print_term(t)}>"
+        assert pickle.loads(pickle.dumps(t)) is t
+    data, text = pickle.dumps(daggers), sx.print_term(daggers)
+    del daggers
+    gc.collect()
+    assert sx.print_term(pickle.loads(data)) == text
 
 
 def test_eliminate_dagger_on_primitives():
