@@ -36,9 +36,9 @@ class MatArrow:
 
 
 def matarrow(src, tgt, entries) -> MatArrow:
-    src = tuple(tuple(a) for a in src)
-    tgt = tuple(tuple(b) for b in tgt)
-    rows = tuple(tuple(row) for row in entries)
+    src = tuple(map(tuple, src))
+    tgt = tuple(map(tuple, tgt))
+    rows = tuple(map(tuple, entries))
     if len(rows) != len(tgt) or any(len(row) != len(src) for row in rows):
         raise ValueError("entry grid does not match the row/column objects")
     # cobsum() gives all members of a multiset one type, so the first
@@ -102,11 +102,11 @@ def compose(after: MatArrow, before: MatArrow) -> MatArrow:
     """
     if after.src != before.tgt:
         raise TypeMismatch(f"middle objects differ: {after.src} vs {before.tgt}")
-    rows = [[(j, y) for j, y in enumerate(row) if y.terms] for row in before.entries]
     out: dict = {}
     for (i, k), x in _support(after).items():
-        for j, y in rows[k]:
-            out[i, j] = cs.add(out.get((i, j), cs.ZERO), cs.compose(x, y))
+        for j, y in enumerate(before.entries[k]):
+            if y.terms:
+                out[i, j] = cs.add(out.get((i, j), cs.ZERO), cs.compose(x, y))
     return _from_support(before.src, after.tgt, out)
 
 
