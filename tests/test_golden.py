@@ -1,7 +1,8 @@
 """Golden output: the full text that ``cobeq check``, ``normalize`` and
 ``render`` print for a fixed set of inputs.
 
-The expected text lives in ``tests/golden/``.  Refactors of the value layer
+The expected text lives in ``tests/golden/``; ``cobeq protocol``'s timings
+are masked.  Refactors of the value layer
 must leave it byte-identical.  To regenerate after an intended change of
 output, run ``python tests/test_golden.py`` and review the diff.
 """
@@ -9,6 +10,7 @@ output, run ``python tests/test_golden.py`` and review the diff.
 import contextlib
 import io
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +31,7 @@ CONTROLS = {
 BASICS_LETS = ("loop", "turn_12")
 BIPRODUCT_LETS = ("sigma_sums", "eta_sum", "eps_sum", "tensor_zero", "tensor_sums", "loops")
 FORMATS = ("json", "svg", "dot")
+TIMING = re.compile(r"\(\d+\.\d{3}s\)")
 
 
 def control_source(name: str) -> str:
@@ -57,6 +60,13 @@ def _capture(argv: list[str], workdir: Path) -> tuple[int, str]:
     return status, out.getvalue()
 
 
+def _protocol_output(workdir: Path) -> str:
+    """``cobeq protocol all --oracle`` with each ``(0.123s)`` timing masked."""
+    status, text = _capture(["protocol", "all", "--oracle"], workdir)
+    assert status == 0
+    return TIMING.sub("(#.###s)", text)
+
+
 def _render(source: Path, name: str, fmt: str, workdir: Path) -> str:
     target = workdir / f"{name}.{fmt}"
     status, _ = _capture(["render", str(source), name, "--format", fmt,
@@ -67,7 +77,7 @@ def _render(source: Path, name: str, fmt: str, workdir: Path) -> str:
 
 def _outputs(workdir: Path) -> dict[str, str]:
     """Every golden file name mapped to the text it must hold."""
-    outputs = {}
+    outputs = {"protocol_all_oracle.out": _protocol_output(workdir)}
     for name in CONTROLS:
         status, text = _check_output(name, workdir)
         assert status == 1
@@ -91,6 +101,11 @@ def test_check_perturbed_control(name, tmp_path):
     status, text = _check_output(name, tmp_path)
     assert status == 1
     assert text == (GOLDEN / f"check_{name}_perturbed.out").read_text(encoding="utf-8")
+
+
+def test_protocol_all_oracle(tmp_path):
+    text = _protocol_output(tmp_path)
+    assert text == (GOLDEN / "protocol_all_oracle.out").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", BASICS_LETS)
