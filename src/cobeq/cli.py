@@ -4,7 +4,7 @@ Subcommands: ``check`` evaluates every check statement of a source file,
 ``normalize`` prints the matrix form of a named term as JSON, ``render``
 writes a drawing of a named term's canonical matrix, ``protocol`` runs the
 bundled protocol verifications.  Exit status is 0 on success, 1 when some
-checked equality fails, 2 on usage, parse or type errors.
+checked equality fails, 2 on usage, file, parse or type errors.
 """
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ SCHEMA_VERSION = 1
 
 def _load(path: str) -> sx.Document:
     with open(path, "r", encoding="utf-8") as handle:
-        return sx.parse_document(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return sx.parse_document(text)
 
 
 def _named_term(doc: sx.Document, name: str):
@@ -170,7 +174,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "protocol":
             return run_protocol(args.name, args.oracle)
         raise AssertionError(args.command)
-    except (ParseError, TypeCheckError, KeyError, OSError, ValueError) as exc:
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror}", file=sys.stderr)
+        return 2
+    except (ParseError, TypeCheckError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cobsum as cs
 from . import syntax as sx
-from .cobordism import GCob
-from .freegroup import Alphabet, DEFAULT_ALPHABET, GroupWord
+from .freegroup import Alphabet, DEFAULT_ALPHABET
 from .interp import default_context
 from .syntax import (
     Alpha,
@@ -218,34 +216,3 @@ def random_unitary_assignment(rng, alphabet: Alphabet = DEFAULT_ALPHABET) -> Ass
         q, _ = np.linalg.qr(raw)
         out[name] = q
     return out
-
-
-def word_matrix(w: GroupWord, assignment: Assignment | None = None,
-                alphabet: Alphabet = DEFAULT_ALPHABET) -> np.ndarray:
-    """Product of assignment matrices along a group word."""
-    if assignment is None:
-        assignment = PAULI_ASSIGNMENT
-    out = np.eye(2, dtype=complex)
-    for index, exponent in w.letters:
-        mat = assignment[alphabet.name(index)]
-        out = out @ (mat if exponent > 0 else np.linalg.inv(mat))
-    return out
-
-
-def gcob_scalar(g: GCob, assignment: Assignment | None = None,
-                alphabet: Alphabet = DEFAULT_ALPHABET) -> complex:
-    """Numeric value of a closed cobordism: each circle contributes the
-    trace of its label word, multiplicatively."""
-    if g.src or g.tgt:
-        raise ValueError("scalar value needs a closed cobordism")
-    value = complex(1.0)
-    for circle in g.circles:
-        value *= complex(np.trace(word_matrix(circle.rep, assignment, alphabet)))
-    return value
-
-
-def cobsum_scalar(x: cs.CobSum, assignment: Assignment | None = None,
-                  alphabet: Alphabet = DEFAULT_ALPHABET) -> complex:
-    """Numeric value of a closed multiset: members add, multiplicities count."""
-    return sum((k * gcob_scalar(g, assignment, alphabet) for g, k in x.terms),
-               complex(0.0))

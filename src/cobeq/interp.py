@@ -313,63 +313,6 @@ def matrix_form(u: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> MatrixForm:
     return MatrixForm(fam_b.components, fam_a.components, tuple(rows))
 
 
-def mf_compose(x: MatrixForm, y: MatrixForm) -> MatrixForm:
-    """Grid composition with entrywise matrix composition and sum."""
-    if x.col_components != y.row_components:
-        raise cob.TypeMismatch("grid middle components differ")
-    rows = []
-    for i in range(len(x.row_components)):
-        row = []
-        for j in range(len(y.col_components)):
-            acc = mc.zero(interp_object(y.col_components[j]),
-                          interp_object(x.row_components[i]))
-            for k in range(len(x.col_components)):
-                acc = mc.add(acc, mc.compose(x.entries[i][k], y.entries[k][j]))
-            row.append(acc)
-        rows.append(tuple(row))
-    return MatrixForm(x.row_components, y.col_components, tuple(rows))
-
-
-def mf_tensor(x: MatrixForm, y: MatrixForm) -> MatrixForm:
-    rows_c = tuple(TensorO(b, d) for b in x.row_components for d in y.row_components)
-    cols_c = tuple(TensorO(a, c) for a in x.col_components for c in y.col_components)
-    rows = []
-    for i in range(len(x.row_components)):
-        for i2 in range(len(y.row_components)):
-            row = []
-            for j in range(len(x.col_components)):
-                for j2 in range(len(y.col_components)):
-                    row.append(mc.tensor(x.entries[i][j], y.entries[i2][j2]))
-            rows.append(tuple(row))
-    return MatrixForm(rows_c, cols_c, tuple(rows))
-
-
-def mf_oplus(x: MatrixForm, y: MatrixForm) -> MatrixForm:
-    rows_c = x.row_components + y.row_components
-    cols_c = x.col_components + y.col_components
-    rows = []
-    for i in range(len(x.row_components)):
-        pad = [mc.zero(interp_object(c), interp_object(x.row_components[i]))
-               for c in y.col_components]
-        rows.append(tuple(x.entries[i]) + tuple(pad))
-    for i in range(len(y.row_components)):
-        pad = [mc.zero(interp_object(c), interp_object(y.row_components[i]))
-               for c in x.col_components]
-        rows.append(tuple(pad) + tuple(y.entries[i]))
-    return MatrixForm(rows_c, cols_c, tuple(rows))
-
-
-def mf_add(x: MatrixForm, y: MatrixForm) -> MatrixForm:
-    if x.row_components != y.row_components or x.col_components != y.col_components:
-        raise cob.TypeMismatch("grid sum of different types")
-    rows = tuple(
-        tuple(mc.add(x.entries[i][j], y.entries[i][j])
-              for j in range(len(x.col_components)))
-        for i in range(len(x.row_components))
-    )
-    return MatrixForm(x.row_components, x.col_components, rows)
-
-
 # ---------------------------------------------------------------------------
 # the decision procedure
 

@@ -1,12 +1,14 @@
 """The three bundled verification diagrams: quantum teleportation,
 entanglement swapping and superdense coding.
 
-Each protocol is a pair of terms, the stepwise leg of the diagram and its
-claimed collapsed form, over the generator alphabet b1..b4 playing the four
-Bell-base unitaries.  The structural isomorphisms appearing in the legs
-(associativity, units, distributivity) are built from their defining
-composites rather than shortcut to identities, so a verification exercises
-the full definitions and lets the model collapse them.
+Each protocol ships as a checkable source file, ``corpus/<name>.ccc`` in
+this package, over the generator alphabet b1..b4 playing the four
+Bell-base unitaries.  It binds ``lhs``, the claimed collapsed form, and
+``rhs``, the stepwise leg of the diagram, and checks them equal.  The
+structural isomorphisms in the stepwise leg (associativity, units,
+distributivity) are spelled out as their defining composites, so a
+verification exercises the full definitions and lets the model collapse
+them.  A file is read only when its protocol is asked for.
 """
 
 from __future__ import annotations
@@ -14,176 +16,46 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import reduce
+from importlib.resources import files
 
 from . import interp
 from . import syntax as sx
 from .freegroup import DEFAULT_ALPHABET, Alphabet
 from .matcat import MatArrow
-from .syntax import (
-    Alpha,
-    AlphaInv,
-    Comp,
-    Dagger,
-    Gen,
-    GenInv,
-    Id,
-    Lam,
-    LamInv,
-    Obj,
-    P,
-    SigmaT,
-    Star,
-    Tens,
-    TensorO,
-    Term,
-    UNIT,
-)
-
-Q: Obj = P
-QS: Obj = Star(P)
+from .syntax import Comp, Direct, Gen, GenInv, Id, P, Star, Tens, Term
 
 ALPHABET: Alphabet = DEFAULT_ALPHABET
 
 PROTOCOL_NAMES = ("teleportation", "swap", "superdense")
 
 
-def beta(i: int) -> Term:
-    return Gen(f"b{i}")
-
-
-def beta_inv(i: int) -> Term:
-    return GenInv(f"b{i}")
-
-
-def _chain(steps: list[Term]) -> Term:
-    """Compose a list of steps given first-to-last."""
-    return reduce(lambda acc, step: Comp(step, acc), steps)
-
-
-def teleportation_legs() -> tuple[Term, Term]:
-    """Left and right legs of the teleportation diagram.
-
-    The right leg imports the unknown state, produces an entangled pair,
-    relocates it, observes in the Bell base, communicates classically and
-    applies the unitary corrections.  The left leg is the fourfold diagonal.
-    """
-    import_state = Comp(SigmaT(UNIT, Q), LamInv(Q))
-    produce_pair = Tens(Id(Q), sx.name_term(Id(Q)))
-    delocate = Alpha(Q, QS, Q)
-    observe = Tens(sx.tuple_term([sx.coname_term(beta(i)) for i in range(1, 5)]),
-                   Id(Q))
-    communicate = Comp(sx.oplus_term([Lam(Q)] * 4),
-                       sx.upsilon_n([UNIT] * 4, Q))
-    correct = sx.oplus_term([beta_inv(i) for i in range(1, 5)])
-    right = _chain([import_state, produce_pair, delocate, observe,
-                    communicate, correct])
-    left = sx.tuple_term([Id(Q)] * 4)
-    return left, right
-
-
-def teleportation_legs_perturbed() -> tuple[Term, Term]:
-    """Negative control: branch i corrects with the wrong unitary."""
-    left, right = teleportation_legs()
-    wrong = sx.oplus_term([beta_inv(i % 4 + 1) for i in range(1, 5)])
-    return left, Comp(wrong, right.before)
-
-
-def _lower_star(i: int) -> Term:
-    return sx.lower_star_term(beta(i))
-
-
-def _pair_projector(i: int) -> Term:
-    """P_i : Q (x) Q* -> Q (x) Q*, the coname of beta_i followed by the name
-    of its lower star, coerced along the double-dual isomorphism."""
-    named = sx.name_term(_lower_star(i))
-    coerce = Tens(sx.w_term(Q), Id(QS))
-    return Comp(coerce, Comp(named, sx.coname_term(beta(i))))
-
-
-def entanglement_swap_legs() -> tuple[Term, Term]:
-    """Left and right legs of the entanglement swapping diagram."""
-    qq = TensorO(Q, QS)
-
-    produce_pairs = Tens(sx.name_term(Id(Q)), sx.name_term(Id(Q)))
-    delocate = Comp(Tens(Id(QS), Alpha(Q, QS, Q)),
-                    AlphaInv(QS, Q, TensorO(QS, Q)))
-    measure = Tens(Id(QS),
-                   Tens(sx.tuple_term([_pair_projector(i) for i in range(1, 5)]),
-                        Id(Q)))
-
-    branch = _chain([
-        Alpha(QS, qq, Q),
-        Tens(SigmaT(QS, qq), Id(Q)),
-        AlphaInv(qq, QS, Q),
-        Tens(SigmaT(Q, QS), Id(TensorO(QS, Q))),
-    ])
-    communicate = _chain([
-        Tens(Id(QS), sx.upsilon_n([qq] * 4, Q)),
-        sx.tau_n(QS, [TensorO(qq, Q)] * 4),
-        sx.oplus_term([branch] * 4),
-    ])
-    correct = sx.oplus_term([
-        Tens(Tens(Id(QS), beta(i)), Tens(Id(QS), beta_inv(i)))
-        for i in range(1, 5)
-    ])
-    right = _chain([produce_pairs, delocate, measure, communicate, correct])
-
-    entry = Tens(sx.name_term(Id(Q)), sx.name_term(Id(Q)))
-    left = sx.tuple_term([entry] * 4)
-    return left, right
-
-
-def entanglement_swap_legs_perturbed() -> tuple[Term, Term]:
-    """Negative control: corrections applied with a shifted branch index."""
-    left, right = entanglement_swap_legs()
-    wrong = sx.oplus_term([
-        Tens(Tens(Id(QS), beta(i % 4 + 1)), Tens(Id(QS), beta_inv(i)))
-        for i in range(1, 5)
-    ])
-    return left, Comp(wrong, right.before)
-
-
-def superdense_legs() -> tuple[Term, Term]:
-    """Left and right legs of the superdense coding diagram.
-
-    The left leg tuples the sixteen trace scalars of the pairwise products
-    of Bell unitaries; entry 4*(i-1)+j carries the trace whose loop label
-    is the conjugacy class of b_j * b_i^-1.
-    """
-    prepare = sx.name_term(Id(Q))
-    select = Tens(sx.tuple_term([_lower_star(i) for i in range(1, 5)]), Id(Q))
-    delocate = Comp(sx.oplus_term([SigmaT(QS, Q)] * 4),
-                    sx.upsilon_n([QS] * 4, Q))
-
-    four_bell = sx.nfold_obj(TensorO(Q, QS), 4)
-    projections = interp.inj_proj(four_bell).projections
-    observe = sx.tuple_term([
-        Comp(sx.coname_term(beta(j)), projections[i])
-        for i in range(4)
-        for j in range(1, 5)
-    ])
-    right = _chain([prepare, select, delocate, observe])
-
-    left = sx.tuple_term([
-        sx.trace_term(Comp(beta(j), Dagger(beta(i))))
-        for i in range(1, 5)
-        for j in range(1, 5)
-    ])
-    return left, right
-
-
-_LEGS = {
-    "teleportation": teleportation_legs,
-    "swap": entanglement_swap_legs,
-    "superdense": superdense_legs,
-}
+def ccc_source(name: str) -> str:
+    """The protocol as a checkable source file."""
+    if name not in PROTOCOL_NAMES:
+        raise KeyError(f"unknown protocol {name!r}")
+    return files(__package__).joinpath("corpus", f"{name}.ccc").read_text(encoding="utf-8")
 
 
 def legs(name: str) -> tuple[Term, Term]:
     """Left and right legs of a named protocol diagram."""
-    if name not in _LEGS:
-        raise KeyError(f"unknown protocol {name!r}")
-    return _LEGS[name]()
+    lets = sx.parse_document(ccc_source(name)).lets
+    return lets["lhs"], lets["rhs"]
+
+
+def teleportation_legs_perturbed() -> tuple[Term, Term]:
+    """Negative control: branch i corrects with the unitary of branch i+1."""
+    left, right = legs("teleportation")
+    wrong = reduce(Direct, [GenInv(f"b{i % 4 + 1}") for i in range(1, 5)])
+    return left, Comp(wrong, right.before)
+
+
+def entanglement_swap_legs_perturbed() -> tuple[Term, Term]:
+    """Negative control: corrections applied with a shifted branch index."""
+    left, right = legs("swap")
+    qs = Id(Star(P))
+    wrong = reduce(Direct, [Tens(Tens(qs, Gen(f"b{i % 4 + 1}")), Tens(qs, GenInv(f"b{i}")))
+                            for i in range(1, 5)])
+    return left, Comp(wrong, right.before)
 
 
 @dataclass(frozen=True)
@@ -196,7 +68,7 @@ class ProtocolReport:
 
 
 def verify(name: str) -> ProtocolReport:
-    """Build both legs of a protocol and decide their equality."""
+    """Parse both legs of a protocol and decide their equality."""
     start = time.perf_counter()
     left, right = legs(name)
     verdict = interp.equal(left, right, ALPHABET)
@@ -208,16 +80,3 @@ def verify(name: str) -> ProtocolReport:
         diff_at=verdict.diff_at,
         elapsed=elapsed,
     )
-
-
-def ccc_source(name: str) -> str:
-    """The protocol as a checkable source file."""
-    left, right = legs(name)
-    lines = [
-        f"# {name}: collapsed form against the stepwise leg",
-        "gens " + " ".join(ALPHABET.names) + ";",
-        f"let lhs = {sx.print_term(left)};",
-        f"let rhs = {sx.print_term(right)};",
-        "check lhs == rhs;",
-    ]
-    return "\n".join(lines) + "\n"

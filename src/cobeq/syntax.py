@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, fields
-from functools import reduce
 
 from .freegroup import Alphabet, DEFAULT_ALPHABET
 
@@ -421,19 +420,7 @@ def _dagger_forms(t: Term, forms: dict[Term, tuple[Term, Term]]) -> tuple[Term, 
 
 
 # ---------------------------------------------------------------------------
-# derived constructors
-
-
-def name_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
-    """The name of f: a -> b, typed I -> a* (x) b."""
-    a, _ = typecheck(f, alphabet)
-    return Comp(Tens(Id(Star(a)), f), Eta(a))
-
-
-def coname_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
-    """The coname of f: a -> b, typed a (x) b* -> I."""
-    _, b = typecheck(f, alphabet)
-    return Comp(Eps(b), Tens(f, Id(Star(b))))
+# the transpose composite
 
 
 def star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET,
@@ -446,141 +433,6 @@ def star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET,
             AlphaInv(Star(a), b, Star(b)), Comp(
                 Tens(Tens(Id(Star(a)), f), Id(Star(b))), Comp(
                     Tens(Eta(a), Id(Star(b))), LamInv(Star(b))))))))
-
-
-def lower_star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
-    """f_* = (f dagger)*: a* -> b*."""
-    return star_term(Dagger(f), alphabet)
-
-
-def tuple_term(parts: list[Term], alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
-    """Biproduct tuple with target the left-nested direct sum of targets."""
-    if not parts:
-        raise ValueError("tuple of no terms")
-
-    def pair(f: Term, g: Term) -> Term:
-        _, bf = typecheck(f, alphabet)
-        _, bg = typecheck(g, alphabet)
-        return Plus(Comp(Iota1(bf, bg), f), Comp(Iota2(bf, bg), g))
-
-    return reduce(pair, parts)
-
-
-def cotuple_term(parts: list[Term], alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
-    """Biproduct cotuple with source the left-nested direct sum of sources."""
-    if not parts:
-        raise ValueError("cotuple of no terms")
-
-    def pair(f: Term, g: Term) -> Term:
-        af, _ = typecheck(f, alphabet)
-        ag, _ = typecheck(g, alphabet)
-        return Plus(Comp(f, Pi1(af, ag)), Comp(g, Pi2(af, ag)))
-
-    return reduce(pair, parts)
-
-
-def oplus_term(parts: list[Term]) -> Term:
-    return reduce(Direct, parts)
-
-
-def oplus_obj(parts: list[Obj]) -> Obj:
-    return reduce(OplusO, parts)
-
-
-def nfold_obj(a: Obj, n: int) -> Obj:
-    return oplus_obj([a] * n)
-
-
-def tau_term(a: Obj, b: Obj, c: Obj) -> Term:
-    """Distributivity a (x) (b (+) c) -> (a (x) b) (+) (a (x) c)."""
-    return tuple_term([Tens(Id(a), Pi1(b, c)), Tens(Id(a), Pi2(b, c))])
-
-
-def upsilon_term(a: Obj, b: Obj, c: Obj) -> Term:
-    """Distributivity (a (+) b) (x) c -> (a (x) c) (+) (b (x) c)."""
-    return tuple_term([Tens(Pi1(a, b), Id(c)), Tens(Pi2(a, b), Id(c))])
-
-
-def upsilon_n(parts: list[Obj], c: Obj) -> Term:
-    """Iterated distributivity (x1 (+) ... (+) xk) (x) c -> left-nested sum
-    of the xi (x) c."""
-    if len(parts) == 1:
-        return Id(TensorO(parts[0], c))
-    left = oplus_obj(parts[:-1])
-    last = parts[-1]
-    step = upsilon_term(left, last, c)
-    rest = upsilon_n(parts[:-1], c)
-    return Comp(Direct(rest, Id(TensorO(last, c))), step)
-
-
-def tau_n(a: Obj, parts: list[Obj]) -> Term:
-    """Iterated distributivity a (x) (y1 (+) ... (+) yk) -> left-nested sum
-    of the a (x) yi."""
-    if len(parts) == 1:
-        return Id(TensorO(a, parts[0]))
-    left = oplus_obj(parts[:-1])
-    last = parts[-1]
-    step = tau_term(a, left, last)
-    rest = tau_n(a, parts[:-1])
-    return Comp(Direct(rest, Id(TensorO(a, last))), step)
-
-
-def trace_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
-    """Categorical trace eps_a o (f (x) a*) o sigma_{a*,a} o eta_a."""
-    a, b = typecheck(f, alphabet)
-    if a != b:
-        raise TypeCheckError("trace needs an endomorphism")
-    return Comp(Eps(a), Comp(Tens(f, Id(Star(a))), Comp(SigmaT(Star(a), a), Eta(a))))
-
-
-def scalar_act_term(s: Term, f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
-    """The rescaling of f by a scalar s: I -> I, as f o s_a."""
-    ss, st = typecheck(s, alphabet)
-    if ss != UNIT or st != UNIT:
-        raise TypeCheckError("scalar must be typed I -> I")
-    a, _ = typecheck(f, alphabet)
-    s_a = Comp(Lam(a), Comp(Tens(s, Id(a)), LamInv(a)))
-    return Comp(f, s_a)
-
-
-def u_term(a: Obj, b: Obj) -> Term:
-    """Derived isomorphism (a (x) b)* -> b* (x) a*."""
-    c = Star(TensorO(a, b))
-    bc = TensorO(b, c)
-    steps = [
-        Lam(TensorO(Star(b), Star(a))),
-        SigmaT(TensorO(Star(b), Star(a)), UNIT),
-        Tens(Id(TensorO(Star(b), Star(a))), Eps(TensorO(a, b))),
-        Alpha(Star(b), Star(a), TensorO(TensorO(a, b), c)),
-        Tens(Id(Star(b)), Tens(Id(Star(a)), Alpha(a, b, c))),
-        Tens(Id(Star(b)), AlphaInv(Star(a), a, bc)),
-        Tens(Id(Star(b)), Tens(Eta(a), Id(bc))),
-        Tens(Id(Star(b)), LamInv(bc)),
-        AlphaInv(Star(b), b, c),
-        Tens(Eta(b), Id(c)),
-        LamInv(c),
-    ]
-    return reduce(Comp, steps)
-
-
-def v_term() -> Term:
-    """Derived isomorphism I* -> I."""
-    return Comp(Eps(UNIT), LamInv(Star(UNIT)))
-
-
-def w_term(a: Obj) -> Term:
-    """Derived isomorphism a** -> a."""
-    ass = Star(Star(a))
-    steps = [
-        Lam(a),
-        Tens(Eps(Star(a)), Id(a)),
-        Tens(SigmaT(ass, Star(a)), Id(a)),
-        Alpha(ass, Star(a), a),
-        Tens(Id(ass), Eta(a)),
-        SigmaT(UNIT, ass),
-        LamInv(ass),
-    ]
-    return reduce(Comp, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,26 @@
-"""Constructions derived from the matrix and cobordism structure that only
-tests use: tuples and cotuples, names and conames, traces, the scalar
-action and the distributors.  The library keeps only what the decision
-procedure, the CLI and the protocols use.
+"""Constructions derived from the term, matrix and cobordism structure that
+only tests use: tuples and cotuples, names and conames, traces, the scalar
+action, the distributors, the derived isomorphisms and the operations on
+matrix forms.  The library keeps only what the decision procedure, the CLI
+and the protocols use.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 from cobeq import cobordism as cob
 from cobeq import matcat as mc
+from cobeq import syntax as sx
 from cobeq.cobordism import O, SRC, TGT, GCob, Point, Segment, TypeMismatch
+from cobeq.freegroup import Alphabet, DEFAULT_ALPHABET
+from cobeq.interp import MatrixForm, interp_object
 from cobeq.matcat import MatArrow, ObjList, UNIT
+from cobeq.syntax import (
+    Alpha, AlphaInv, Comp, Dagger, Direct, Eps, Eta, Id, Iota1, Iota2, Lam,
+    LamInv, Obj, OplusO, Pi1, Pi2, Plus, SigmaT, Star, Tens, TensorO, Term,
+    TypeCheckError, typecheck,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -120,3 +131,215 @@ def distrib_upsilon(a: ObjList, b: ObjList, c: ObjList) -> MatArrow:
         mc.tensor(mc.pi1(a, b), mc.identity(c)),
         mc.tensor(mc.pi2(a, b), mc.identity(c)),
     ])
+
+
+# ---------------------------------------------------------------------------
+# matrix forms
+
+
+def mf_compose(x: MatrixForm, y: MatrixForm) -> MatrixForm:
+    """Grid composition with entrywise matrix composition and sum."""
+    if x.col_components != y.row_components:
+        raise TypeMismatch("grid middle components differ")
+    rows = []
+    for i in range(len(x.row_components)):
+        row = []
+        for j in range(len(y.col_components)):
+            acc = mc.zero(interp_object(y.col_components[j]),
+                          interp_object(x.row_components[i]))
+            for k in range(len(x.col_components)):
+                acc = mc.add(acc, mc.compose(x.entries[i][k], y.entries[k][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return MatrixForm(x.row_components, y.col_components, tuple(rows))
+
+
+def mf_tensor(x: MatrixForm, y: MatrixForm) -> MatrixForm:
+    rows_c = tuple(TensorO(b, d) for b in x.row_components for d in y.row_components)
+    cols_c = tuple(TensorO(a, c) for a in x.col_components for c in y.col_components)
+    rows = []
+    for i in range(len(x.row_components)):
+        for i2 in range(len(y.row_components)):
+            row = []
+            for j in range(len(x.col_components)):
+                for j2 in range(len(y.col_components)):
+                    row.append(mc.tensor(x.entries[i][j], y.entries[i2][j2]))
+            rows.append(tuple(row))
+    return MatrixForm(rows_c, cols_c, tuple(rows))
+
+
+def mf_oplus(x: MatrixForm, y: MatrixForm) -> MatrixForm:
+    rows_c = x.row_components + y.row_components
+    cols_c = x.col_components + y.col_components
+    rows = []
+    for i in range(len(x.row_components)):
+        pad = [mc.zero(interp_object(c), interp_object(x.row_components[i]))
+               for c in y.col_components]
+        rows.append(tuple(x.entries[i]) + tuple(pad))
+    for i in range(len(y.row_components)):
+        pad = [mc.zero(interp_object(c), interp_object(y.row_components[i]))
+               for c in x.col_components]
+        rows.append(tuple(pad) + tuple(y.entries[i]))
+    return MatrixForm(rows_c, cols_c, tuple(rows))
+
+
+def mf_add(x: MatrixForm, y: MatrixForm) -> MatrixForm:
+    if x.row_components != y.row_components or x.col_components != y.col_components:
+        raise TypeMismatch("grid sum of different types")
+    rows = tuple(
+        tuple(mc.add(x.entries[i][j], y.entries[i][j])
+              for j in range(len(x.col_components)))
+        for i in range(len(x.row_components))
+    )
+    return MatrixForm(x.row_components, x.col_components, rows)
+
+
+# ---------------------------------------------------------------------------
+# terms
+
+
+def name_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
+    """The name of f: a -> b, typed I -> a* (x) b."""
+    a, _ = typecheck(f, alphabet)
+    return Comp(Tens(Id(Star(a)), f), Eta(a))
+
+
+def coname_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
+    """The coname of f: a -> b, typed a (x) b* -> I."""
+    _, b = typecheck(f, alphabet)
+    return Comp(Eps(b), Tens(f, Id(Star(b))))
+
+
+def lower_star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
+    """f_* = (f dagger)*: a* -> b*."""
+    return sx.star_term(Dagger(f), alphabet)
+
+
+def tuple_term(parts: list[Term], alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
+    """Biproduct tuple with target the left-nested direct sum of targets."""
+    if not parts:
+        raise ValueError("tuple of no terms")
+
+    def pair(f: Term, g: Term) -> Term:
+        _, bf = typecheck(f, alphabet)
+        _, bg = typecheck(g, alphabet)
+        return Plus(Comp(Iota1(bf, bg), f), Comp(Iota2(bf, bg), g))
+
+    return reduce(pair, parts)
+
+
+def cotuple_term(parts: list[Term], alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
+    """Biproduct cotuple with source the left-nested direct sum of sources."""
+    if not parts:
+        raise ValueError("cotuple of no terms")
+
+    def pair(f: Term, g: Term) -> Term:
+        af, _ = typecheck(f, alphabet)
+        ag, _ = typecheck(g, alphabet)
+        return Plus(Comp(f, Pi1(af, ag)), Comp(g, Pi2(af, ag)))
+
+    return reduce(pair, parts)
+
+
+def oplus_term(parts: list[Term]) -> Term:
+    return reduce(Direct, parts)
+
+
+def oplus_obj(parts: list[Obj]) -> Obj:
+    return reduce(OplusO, parts)
+
+
+def nfold_obj(a: Obj, n: int) -> Obj:
+    return oplus_obj([a] * n)
+
+
+def tau_term(a: Obj, b: Obj, c: Obj) -> Term:
+    """Distributivity a (x) (b (+) c) -> (a (x) b) (+) (a (x) c)."""
+    return tuple_term([Tens(Id(a), Pi1(b, c)), Tens(Id(a), Pi2(b, c))])
+
+
+def upsilon_term(a: Obj, b: Obj, c: Obj) -> Term:
+    """Distributivity (a (+) b) (x) c -> (a (x) c) (+) (b (x) c)."""
+    return tuple_term([Tens(Pi1(a, b), Id(c)), Tens(Pi2(a, b), Id(c))])
+
+
+def upsilon_n(parts: list[Obj], c: Obj) -> Term:
+    """Iterated distributivity (x1 (+) ... (+) xk) (x) c -> left-nested sum
+    of the xi (x) c."""
+    if len(parts) == 1:
+        return Id(TensorO(parts[0], c))
+    left = oplus_obj(parts[:-1])
+    last = parts[-1]
+    step = upsilon_term(left, last, c)
+    rest = upsilon_n(parts[:-1], c)
+    return Comp(Direct(rest, Id(TensorO(last, c))), step)
+
+
+def tau_n(a: Obj, parts: list[Obj]) -> Term:
+    """Iterated distributivity a (x) (y1 (+) ... (+) yk) -> left-nested sum
+    of the a (x) yi."""
+    if len(parts) == 1:
+        return Id(TensorO(a, parts[0]))
+    left = oplus_obj(parts[:-1])
+    last = parts[-1]
+    step = tau_term(a, left, last)
+    rest = tau_n(a, parts[:-1])
+    return Comp(Direct(rest, Id(TensorO(a, last))), step)
+
+
+def trace_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
+    """Categorical trace eps_a o (f (x) a*) o sigma_{a*,a} o eta_a."""
+    a, b = typecheck(f, alphabet)
+    if a != b:
+        raise TypeCheckError("trace needs an endomorphism")
+    return Comp(Eps(a), Comp(Tens(f, Id(Star(a))), Comp(SigmaT(Star(a), a), Eta(a))))
+
+
+def scalar_act_term(s: Term, f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
+    """The rescaling of f by a scalar s: I -> I, as f o s_a."""
+    ss, st = typecheck(s, alphabet)
+    if ss != sx.UNIT or st != sx.UNIT:
+        raise TypeCheckError("scalar must be typed I -> I")
+    a, _ = typecheck(f, alphabet)
+    s_a = Comp(Lam(a), Comp(Tens(s, Id(a)), LamInv(a)))
+    return Comp(f, s_a)
+
+
+def u_term(a: Obj, b: Obj) -> Term:
+    """Derived isomorphism (a (x) b)* -> b* (x) a*."""
+    c = Star(TensorO(a, b))
+    bc = TensorO(b, c)
+    steps = [
+        Lam(TensorO(Star(b), Star(a))),
+        SigmaT(TensorO(Star(b), Star(a)), sx.UNIT),
+        Tens(Id(TensorO(Star(b), Star(a))), Eps(TensorO(a, b))),
+        Alpha(Star(b), Star(a), TensorO(TensorO(a, b), c)),
+        Tens(Id(Star(b)), Tens(Id(Star(a)), Alpha(a, b, c))),
+        Tens(Id(Star(b)), AlphaInv(Star(a), a, bc)),
+        Tens(Id(Star(b)), Tens(Eta(a), Id(bc))),
+        Tens(Id(Star(b)), LamInv(bc)),
+        AlphaInv(Star(b), b, c),
+        Tens(Eta(b), Id(c)),
+        LamInv(c),
+    ]
+    return reduce(Comp, steps)
+
+
+def v_term() -> Term:
+    """Derived isomorphism I* -> I."""
+    return Comp(Eps(sx.UNIT), LamInv(Star(sx.UNIT)))
+
+
+def w_term(a: Obj) -> Term:
+    """Derived isomorphism a** -> a."""
+    ass = Star(Star(a))
+    steps = [
+        Lam(a),
+        Tens(Eps(Star(a)), Id(a)),
+        Tens(SigmaT(ass, Star(a)), Id(a)),
+        Alpha(ass, Star(a), a),
+        Tens(Id(ass), Eta(a)),
+        SigmaT(sx.UNIT, ass),
+        LamInv(ass),
+    ]
+    return reduce(Comp, steps)

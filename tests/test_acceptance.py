@@ -109,23 +109,23 @@ def test_criterion_4_matrix_form_functorial():
         u = gl.rand_term(rng, b, c, 4)
         v = gl.rand_term(rng, a, b, 4)
         assert (interp.matrix_form(sx.Comp(u, v))
-                == interp.mf_compose(interp.matrix_form(u), interp.matrix_form(v)))
+                == dv.mf_compose(interp.matrix_form(u), interp.matrix_form(v)))
     for _ in range(200):
         u = gl.rand_any_term(rng, 3)
         v = gl.rand_any_term(rng, 3)
         assert (interp.matrix_form(sx.Tens(u, v))
-                == interp.mf_tensor(interp.matrix_form(u), interp.matrix_form(v)))
+                == dv.mf_tensor(interp.matrix_form(u), interp.matrix_form(v)))
     for _ in range(200):
         u = gl.rand_any_term(rng, 3)
         v = gl.rand_any_term(rng, 3)
         assert (interp.matrix_form(sx.Direct(u, v))
-                == interp.mf_oplus(interp.matrix_form(u), interp.matrix_form(v)))
+                == dv.mf_oplus(interp.matrix_form(u), interp.matrix_form(v)))
     for _ in range(200):
         a, b = gl.rand_obj(rng, 2), gl.rand_obj(rng, 2)
         u = gl.rand_term(rng, a, b, 3)
         v = gl.rand_term(rng, a, b, 3)
         assert (interp.matrix_form(sx.Plus(u, v))
-                == interp.mf_add(interp.matrix_form(u), interp.matrix_form(v)))
+                == dv.mf_add(interp.matrix_form(u), interp.matrix_form(v)))
     print("ACCEPTANCE 4: PASS matrix form functorial, 200 pairs per operation")
 
 
@@ -143,7 +143,7 @@ def test_criterion_5_dagger_elimination():
 def test_criterion_6_numeric_oracle():
     for i in range(1, 5):
         for j in range(1, 5):
-            t = sx.trace_term(sx.Comp(sx.Gen(f"b{i}"), sx.Dagger(sx.Gen(f"b{j}"))))
+            t = dv.trace_term(sx.Comp(sx.Gen(f"b{i}"), sx.Dagger(sx.Gen(f"b{j}"))))
             value = hb.eval_numeric(t)[0, 0]
             want = 2.0 if i == j else 0.0
             assert abs(value - want) <= 1e-9
@@ -184,29 +184,29 @@ def test_criterion_7_structural_strictness():
         for t in (sx.Alpha(a, b, c), sx.AlphaInv(a, b, c), sx.Lam(a), sx.LamInv(a)):
             src, _ = sx.typecheck(t)
             assert interp.H(t) == mc.identity(interp.interp_object(src))
-        src, _ = sx.typecheck(sx.w_term(a))
-        assert interp.H(sx.w_term(a)) == mc.identity(interp.interp_object(src))
-        assert interp.H(sx.v_term()) == mc.identity(mc.UNIT)
-        ups = sx.upsilon_term(a, b, c)
+        src, _ = sx.typecheck(dv.w_term(a))
+        assert interp.H(dv.w_term(a)) == mc.identity(interp.interp_object(src))
+        assert interp.H(dv.v_term()) == mc.identity(mc.UNIT)
+        ups = dv.upsilon_term(a, b, c)
         src, _ = sx.typecheck(ups)
         assert interp.H(ups) == mc.identity(interp.interp_object(src))
         la, lb, lc = (interp.interp_object(x) for x in (a, b, c))
         assert dv.distrib_upsilon(la, lb, lc) == mc.identity(
             mc.tensor_obj(mc.oplus_obj(la, lb), lc))
         if _sum_free(a) and _sum_free(b):
-            src, _ = sx.typecheck(sx.u_term(a, b))
-            assert interp.H(sx.u_term(a, b)) == mc.identity(interp.interp_object(src))
+            src, _ = sx.typecheck(dv.u_term(a, b))
+            assert interp.H(dv.u_term(a, b)) == mc.identity(interp.interp_object(src))
         count += 1
     print("ACCEPTANCE 7: PASS structural arrows evaluate to identities "
           "on 100 random objects")
 
 
 def test_criterion_8_negative_controls():
-    base_left, base_right = protocols.teleportation_legs()
+    base_left, base_right = protocols.legs("teleportation")
     steps = base_right.before
     for k in range(4):
-        wrong = sx.oplus_term([
-            protocols.beta_inv(i % 4 + 1 if i - 1 == k else i)
+        wrong = dv.oplus_term([
+            sx.GenInv(f"b{i % 4 + 1 if i - 1 == k else i}")
             for i in range(1, 5)
         ])
         assert not interp.equal(base_left, sx.Comp(wrong, steps)).equal, k

@@ -12,6 +12,8 @@ from cobeq import syntax as sx
 
 from conftest import SEED
 
+BASICS = os.path.join(os.path.dirname(__file__), "..", "corpus", "basics.ccc")
+
 
 @pytest.fixture
 def corpus(tmp_path):
@@ -136,16 +138,41 @@ def test_protocol_unknown(capsys):
     assert cli.main(["protocol", "nosuch"]) == 2
 
 
-def test_missing_file(capsys):
-    assert cli.main(["check", "/nonexistent/x.ccc"]) == 2
-
-
-def test_repository_corpus_in_sync():
-    root = os.path.join(os.path.dirname(__file__), "..", "corpus")
+def test_built_package_carries_the_protocol_sources(tmp_path):
+    # Lay the package out as an install would, outside the checkout, and run
+    # the bundled protocols from that tree alone.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    lib = tmp_path / "lib"
+    subprocess.run([sys.executable, "-c", "from setuptools import setup; setup()",
+                    "egg_info", "-e", str(tmp_path), "build_py", "-d", str(lib)],
+                   cwd=root, capture_output=True, check=True)
     for name in protocols.PROTOCOL_NAMES:
-        path = os.path.join(root, f"{name}.ccc")
-        with open(path, "r", encoding="utf-8") as handle:
-            assert handle.read() == protocols.ccc_source(name)
+        shipped = (lib / "cobeq" / "corpus" / f"{name}.ccc").read_text(encoding="utf-8")
+        assert shipped == protocols.ccc_source(name)
+    run = subprocess.run([sys.executable, "-m", "cobeq", "protocol", "all"], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=str(lib)), capture_output=True,
+                         text=True)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert [line.split(" (")[0] for line in run.stdout.splitlines()] == [
+        f"{name}: EQUAL" for name in protocols.PROTOCOL_NAMES]
+
+
+def test_missing_file(tmp_path, capsys):
+    # A file that cannot be read or written gets one line naming the path and
+    # the reason, not the bare errno or codec name.
+    latin1 = tmp_path / "latin1.ccc"
+    latin1.write_bytes("gens b1;\n# caf\xe9\ncheck b1 == b1;\n".encode("latin-1"))
+    target = tmp_path / "no" / "x.json"
+    cases = [
+        (["check", "/nonexistent/x.ccc"], "/nonexistent/x.ccc: No such file or directory"),
+        (["check", str(tmp_path)], f"{tmp_path}: Is a directory"),
+        (["render", BASICS, "loop", "-o", str(target)], f"{target}: No such file or directory"),
+        (["check", str(latin1)],
+         f"{latin1}: 'utf-8' codec can't decode byte 0xe9 in position 14: invalid continuation byte"),
+    ]
+    for argv, message in cases:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_repository_corpus_checks_clean(capsys):

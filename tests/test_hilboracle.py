@@ -3,20 +3,59 @@ import random
 import numpy as np
 import pytest
 
+from cobeq import cobsum as cs
+from cobeq import freegroup as fg
 from cobeq import hilboracle as hb
 from cobeq import interp
 from cobeq import protocols
 from cobeq import syntax as sx
+from cobeq.cobordism import GCob
+from cobeq.freegroup import Alphabet, DEFAULT_ALPHABET, GroupWord
 from cobeq.syntax import Comp, Dagger, Gen, Id, P, UNIT
 
+import derived as dv
 import genlib as gl
 from conftest import SEED
+
+
+# Numeric values of cobordisms, to compare the two semantics on closed terms.
+
+
+def word_matrix(w: GroupWord, assignment: hb.Assignment | None = None,
+                alphabet: Alphabet = DEFAULT_ALPHABET) -> np.ndarray:
+    """Product of assignment matrices along a group word."""
+    if assignment is None:
+        assignment = hb.PAULI_ASSIGNMENT
+    out = np.eye(2, dtype=complex)
+    for index, exponent in w.letters:
+        mat = assignment[alphabet.name(index)]
+        out = out @ (mat if exponent > 0 else np.linalg.inv(mat))
+    return out
+
+
+def gcob_scalar(g: GCob, assignment: hb.Assignment | None = None,
+                alphabet: Alphabet = DEFAULT_ALPHABET) -> complex:
+    """Numeric value of a closed cobordism: each circle contributes the
+    trace of its label word, multiplicatively."""
+    if g.src or g.tgt:
+        raise ValueError("scalar value needs a closed cobordism")
+    value = complex(1.0)
+    for circle in g.circles:
+        value *= complex(np.trace(word_matrix(circle.rep, assignment, alphabet)))
+    return value
+
+
+def cobsum_scalar(x: cs.CobSum, assignment: hb.Assignment | None = None,
+                  alphabet: Alphabet = DEFAULT_ALPHABET) -> complex:
+    """Numeric value of a closed multiset: members add, multiplicities count."""
+    return sum((k * gcob_scalar(g, assignment, alphabet) for g, k in x.terms),
+               complex(0.0))
 
 
 def test_pauli_traces():
     for i in range(1, 5):
         for j in range(1, 5):
-            t = sx.trace_term(Comp(Gen(f"b{i}"), Dagger(Gen(f"b{j}"))))
+            t = dv.trace_term(Comp(Gen(f"b{i}"), Dagger(Gen(f"b{j}"))))
             value = hb.eval_numeric(t)
             want = 2.0 if i == j else 0.0
             assert abs(value[0, 0] - want) <= 1e-9
@@ -72,7 +111,7 @@ def test_protocol_legs_agree():
 
 def test_protocol_legs_agree_under_random_unitaries():
     rng = random.Random(SEED + 1)
-    left, right = protocols.teleportation_legs()
+    left, right = protocols.legs("teleportation")
     for _ in range(5):
         assignment = hb.random_unitary_assignment(rng)
         assert hb.agree(left, right, 1e-9, assignment)
@@ -113,12 +152,12 @@ def test_scalar_terms_match_cobordism_semantics():
     rng = random.Random(SEED + 4)
     for _ in range(25):
         word_term = _random_endo_word(rng)
-        t = sx.trace_term(word_term)
+        t = dv.trace_term(word_term)
         if rng.random() < 0.5:
-            t = sx.Plus(t, sx.trace_term(_random_endo_word(rng)))
+            t = sx.Plus(t, dv.trace_term(_random_endo_word(rng)))
         numeric = hb.eval_numeric(t)[0, 0]
         mat = interp.H(t)
-        from_cobordisms = hb.cobsum_scalar(mat.entries[0][0])
+        from_cobordisms = cobsum_scalar(mat.entries[0][0])
         assert abs(numeric - from_cobordisms) <= 1e-9
 
 
@@ -142,8 +181,7 @@ def test_factoring_through_zero_in_both_semantics():
 def test_word_matrix_inverse():
     rng = random.Random(SEED + 5)
     w = gl.rand_word(rng, 4)
-    import cobeq.freegroup as fg
-    lhs = hb.word_matrix(w) @ hb.word_matrix(fg.inverse(w))
+    lhs = word_matrix(w) @ word_matrix(fg.inverse(w))
     assert np.allclose(lhs, np.eye(2), atol=1e-9)
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cobeq import cobordism as cob
@@ -6,6 +8,11 @@ from cobeq import freegroup as fg
 from cobeq import interp
 from cobeq import protocols
 from cobeq import syntax as sx
+
+import derived as dv
+import protocol_terms
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_all_protocols_verify():
@@ -23,7 +30,7 @@ def test_unknown_protocol():
 
 
 def test_teleportation_common_value_is_diagonal():
-    left, right = protocols.teleportation_legs()
+    left, right = protocols.legs("teleportation")
     value = interp.H(left)
     assert interp.H(right) == value
     assert len(value.tgt) == 4 and len(value.src) == 1
@@ -31,11 +38,11 @@ def test_teleportation_common_value_is_diagonal():
     for i in range(4):
         assert value.entries[i][0] == wire
     # and the left leg is the tuple of identities by construction
-    assert value == interp.H(sx.tuple_term([sx.Id(sx.P)] * 4))
+    assert value == interp.H(dv.tuple_term([sx.Id(sx.P)] * 4))
 
 
 def test_swap_common_value_is_two_caps():
-    left, right = protocols.entanglement_swap_legs()
+    left, right = protocols.legs("swap")
     value = interp.H(left)
     assert interp.H(right) == value
     cap = cob.eta((cob.PLUS,))
@@ -47,7 +54,7 @@ def test_swap_common_value_is_two_caps():
 
 
 def test_superdense_common_value_circles():
-    left, right = protocols.superdense_legs()
+    left, right = protocols.legs("superdense")
     value = interp.H(left)
     assert interp.H(right) == value
     assert len(value.tgt) == 16
@@ -69,12 +76,12 @@ def test_perturbed_corrections_break_equality():
 
 
 def test_every_single_index_perturbation_breaks_teleportation():
-    base_left, base_right = protocols.teleportation_legs()
+    base_left, base_right = protocols.legs("teleportation")
     correction = base_right.after
     steps = base_right.before
     for k in range(4):
-        wrong = sx.oplus_term([
-            protocols.beta_inv(i % 4 + 1 if i - 1 == k else i)
+        wrong = dv.oplus_term([
+            sx.GenInv(f"b{i % 4 + 1 if i - 1 == k else i}")
             for i in range(1, 5)
         ])
         assert wrong != correction
@@ -83,13 +90,13 @@ def test_every_single_index_perturbation_breaks_teleportation():
 
 
 def test_every_single_index_perturbation_breaks_swap():
-    base_left, base_right = protocols.entanglement_swap_legs()
+    base_left, base_right = protocols.legs("swap")
     steps = base_right.before
     for k in range(4):
-        wrong = sx.oplus_term([
-            sx.Tens(sx.Tens(sx.Id(protocols.QS),
-                            protocols.beta(i % 4 + 1 if i - 1 == k else i)),
-                    sx.Tens(sx.Id(protocols.QS), protocols.beta_inv(i)))
+        wrong = dv.oplus_term([
+            sx.Tens(sx.Tens(sx.Id(sx.Star(sx.P)),
+                            sx.Gen(f"b{i % 4 + 1 if i - 1 == k else i}")),
+                    sx.Tens(sx.Id(sx.Star(sx.P)), sx.GenInv(f"b{i}")))
             for i in range(1, 5)
         ])
         verdict = interp.equal(base_left, sx.Comp(wrong, steps))
@@ -99,8 +106,8 @@ def test_every_single_index_perturbation_breaks_swap():
 def test_uninverted_corrections_break_teleportation():
     # without the inverses, each branch carries b_i twice instead of
     # canceling to the neutral wire
-    left, right = protocols.teleportation_legs()
-    wrong = sx.oplus_term([protocols.beta(i) for i in range(1, 5)])
+    left, right = protocols.legs("teleportation")
+    wrong = dv.oplus_term([sx.Gen(f"b{i}") for i in range(1, 5)])
     broken = sx.Comp(wrong, right.before)
     assert not interp.equal(left, broken).equal
     value = interp.H(broken)
@@ -114,7 +121,7 @@ def test_uninverted_corrections_break_teleportation():
 def test_teleportation_observation_entries():
     # once the observation is composed over the produced pair, branch i is
     # a single strand carrying b_i
-    _, right = protocols.teleportation_legs()
+    _, right = protocols.legs("teleportation")
     through_observation = right.before.before
     value = interp.H(through_observation)
     assert len(value.tgt) == 4
@@ -127,7 +134,7 @@ def test_teleportation_observation_entries():
 def test_swap_pre_cancellation_entries():
     # before the unitary correction, branch i holds the two caps with b_i
     # inverse on the first pair and b_i on the second
-    _, right = protocols.entanglement_swap_legs()
+    _, right = protocols.legs("swap")
     pre = interp.H(right.before)
     for i in range(4):
         first = cob.gcob(cob.O, cob.seq("-+"),
@@ -137,13 +144,18 @@ def test_swap_pre_cancellation_entries():
         assert pre.entries[i][0] == cs.single(cob.tensor(first, second))
 
 
-def test_ccc_sources_roundtrip():
+def test_shipped_sources_match_generator_and_corpus():
+    # The shipped text, the reference generator's printed legs and the
+    # repository corpus are one text; parsing it gives the generator's nodes.
     for name in protocols.PROTOCOL_NAMES:
-        doc = sx.parse_document(protocols.ccc_source(name))
-        left, right = protocols.legs(name)
+        shipped = protocols.ccc_source(name)
+        assert shipped == protocol_terms.ccc_source(name), name
+        assert shipped == (REPO / "corpus" / f"{name}.ccc").read_text(encoding="utf-8"), name
+        doc = sx.parse_document(shipped)
+        assert doc.alphabet == protocols.ALPHABET
         (stmt,) = doc.checks
-        assert stmt.left == left
-        assert stmt.right == right
+        left, right = protocol_terms.LEGS[name]()
+        assert protocols.legs(name) == (stmt.left, stmt.right) == (left, right)
 
 
 def test_reports_are_fresh():

@@ -12,6 +12,7 @@ from cobeq.syntax import (
     Plus, SigmaT, Star, Tens, TensorO, TypeCheckError, UNIT,
 )
 
+import derived as dv
 import genlib as gl
 from conftest import SEED
 
@@ -183,32 +184,32 @@ def test_eliminate_dagger_random():
 
 def test_derived_builders_typecheck():
     f = Gen("b1")
-    assert sx.typecheck(sx.name_term(f)) == (UNIT, TensorO(Star(P), P))
-    assert sx.typecheck(sx.coname_term(f)) == (TensorO(P, Star(P)), UNIT)
+    assert sx.typecheck(dv.name_term(f)) == (UNIT, TensorO(Star(P), P))
+    assert sx.typecheck(dv.coname_term(f)) == (TensorO(P, Star(P)), UNIT)
     assert sx.typecheck(sx.star_term(f)) == (Star(P), Star(P))
-    assert sx.typecheck(sx.lower_star_term(f)) == (Star(P), Star(P))
-    assert sx.typecheck(sx.trace_term(f)) == (UNIT, UNIT)
-    tup = sx.tuple_term([Id(P)] * 3)
+    assert sx.typecheck(dv.lower_star_term(f)) == (Star(P), Star(P))
+    assert sx.typecheck(dv.trace_term(f)) == (UNIT, UNIT)
+    tup = dv.tuple_term([Id(P)] * 3)
     assert sx.typecheck(tup) == (P, OplusO(OplusO(P, P), P))
-    cot = sx.cotuple_term([Id(P), Gen("b2")])
+    cot = dv.cotuple_term([Id(P), Gen("b2")])
     assert sx.typecheck(cot) == (OplusO(P, P), P)
-    assert sx.typecheck(sx.u_term(P, Star(P)))[1] == TensorO(Star(Star(P)), Star(P))
-    assert sx.typecheck(sx.v_term()) == (Star(UNIT), UNIT)
-    assert sx.typecheck(sx.w_term(P)) == (Star(Star(P)), P)
-    s = sx.trace_term(Gen("b1"))
-    assert sx.typecheck(sx.scalar_act_term(s, f)) == (P, P)
+    assert sx.typecheck(dv.u_term(P, Star(P)))[1] == TensorO(Star(Star(P)), Star(P))
+    assert sx.typecheck(dv.v_term()) == (Star(UNIT), UNIT)
+    assert sx.typecheck(dv.w_term(P)) == (Star(Star(P)), P)
+    s = dv.trace_term(Gen("b1"))
+    assert sx.typecheck(dv.scalar_act_term(s, f)) == (P, P)
 
 
 def test_distributivity_builders_typecheck():
     a, b, c = P, UNIT, Star(P)
-    assert sx.typecheck(sx.tau_term(a, b, c)) == (
+    assert sx.typecheck(dv.tau_term(a, b, c)) == (
         TensorO(a, OplusO(b, c)), OplusO(TensorO(a, b), TensorO(a, c)))
-    assert sx.typecheck(sx.upsilon_term(a, b, c)) == (
+    assert sx.typecheck(dv.upsilon_term(a, b, c)) == (
         TensorO(OplusO(a, b), c), OplusO(TensorO(a, c), TensorO(b, c)))
-    ups4 = sx.upsilon_n([UNIT] * 4, P)
+    ups4 = dv.upsilon_n([UNIT] * 4, P)
     src, tgt = sx.typecheck(ups4)
-    assert src == TensorO(sx.nfold_obj(UNIT, 4), P)
-    assert tgt == sx.oplus_obj([TensorO(UNIT, P)] * 4)
+    assert src == TensorO(dv.nfold_obj(UNIT, 4), P)
+    assert tgt == dv.oplus_obj([TensorO(UNIT, P)] * 4)
 
 
 def test_equal_structure_is_one_node():
