@@ -33,7 +33,7 @@ def ccc_source(name: str) -> str:
     """The protocol as a checkable source file."""
     if name not in PROTOCOL_NAMES:
         raise KeyError(f"unknown protocol {name!r}")
-    return files(__package__).joinpath("corpus", f"{name}.ccc").read_text(encoding="utf-8")
+    return (files(__package__) / "corpus" / f"{name}.ccc").read_text(encoding="utf-8")
 
 
 def legs(name: str) -> tuple[Term, Term]:
