@@ -175,6 +175,14 @@ def test_missing_file(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_repository_corpus_in_sync():
+    root = os.path.join(os.path.dirname(__file__), "..", "corpus")
+    for name in protocols.PROTOCOL_NAMES:
+        path = os.path.join(root, f"{name}.ccc")
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == protocols.ccc_source(name), name
+
+
 def test_repository_corpus_checks_clean(capsys):
     root = os.path.join(os.path.dirname(__file__), "..", "corpus")
     for name in sorted(os.listdir(root)):
