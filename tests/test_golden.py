@@ -23,6 +23,7 @@ from cobeq import syntax as sx
 GOLDEN = Path(__file__).parent / "golden"
 BASICS = Path(__file__).parent.parent / "corpus" / "basics.ccc"
 BIPRODUCTS = Path(__file__).parent / "biproducts.ccc"
+SUPERDENSE = Path(protocols.__file__).parent / "corpus" / "superdense.ccc"
 
 CONTROLS = {
     "teleportation": protocols.teleportation_legs_perturbed,
@@ -93,6 +94,9 @@ def _outputs(workdir: Path) -> dict[str, str]:
         outputs[f"normalize_{name}.json"] = text
         for fmt in FORMATS:
             outputs[f"render_{name}.{fmt}"] = _render(BIPRODUCTS, name, fmt, workdir)
+    status, text = _capture(["normalize", str(SUPERDENSE), "rhs"], workdir)
+    assert status == 0
+    outputs["normalize_superdense_rhs.json"] = text
     return outputs
 
 
@@ -133,6 +137,13 @@ def test_normalize_biproducts(name, tmp_path):
 def test_render_biproducts(name, fmt, tmp_path):
     text = _render(BIPRODUCTS, name, fmt, tmp_path)
     assert text == (GOLDEN / f"render_{name}.{fmt}").read_text(encoding="utf-8")
+
+
+def test_normalize_superdense_rhs(tmp_path):
+    # sixteen cells whose components are duals and tensors of sums
+    status, text = _capture(["normalize", str(SUPERDENSE), "rhs"], tmp_path)
+    assert status == 0
+    assert text == (GOLDEN / "normalize_superdense_rhs.json").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
