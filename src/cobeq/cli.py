@@ -4,7 +4,8 @@ Subcommands: ``check`` evaluates every check statement of a source file,
 ``normalize`` prints the matrix form of a named term as JSON, ``render``
 writes a drawing of a named term's canonical matrix, ``protocol`` runs the
 bundled protocol verifications.  Exit status is 0 on success, 1 when some
-checked equality fails, 2 on usage, file, parse or type errors.
+checked equality fails, 2 on usage, file, parse or type errors, and 3 on
+any other error, such as running out of memory.
 """
 
 from __future__ import annotations
@@ -127,8 +128,7 @@ def run_protocol(name: str, oracle: bool) -> int:
             status = 1
             line += f" first difference at {report.diff_at}"
         if oracle:
-            left, right = protocols.legs(n)
-            ok = agree(left, right, 1e-9)
+            ok = agree(*report.legs, 1e-9)
             line += f", oracle {'agrees' if ok else 'DISAGREES'}"
             if not ok:
                 status = 1
@@ -182,6 +182,11 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Status 1 would read as a refutation, so no error may end with it.
+        print(": ".join(["error", type(exc).__name__, *str(exc).splitlines()[:1]]),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

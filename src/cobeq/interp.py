@@ -13,6 +13,7 @@ sum-free components of the endpoint objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import matcat as mc
 from .freegroup import Alphabet, DEFAULT_ALPHABET, gen
@@ -62,7 +63,6 @@ class EvalContext:
     """Owner of every evaluation cache for one generator alphabet.
 
     ``types`` holds the endpoints of terms, ``objects`` the object lists of
-    object formulas, ``families`` the injection/projection families of
     object formulas and ``matrices`` the canonical matrices of terms, with
     the hits and misses of that last cache.  All are keyed by hash-consed
     syntax nodes, so one lookup costs one cached hash and an identity test.
@@ -74,7 +74,6 @@ class EvalContext:
         self.alphabet = alphabet
         self.types: dict[Term, tuple[Obj, Obj]] = {}
         self.objects: dict[Obj, ObjList] = {}
-        self.families: dict[Obj, InjProjFamily] = {}
         self.matrices: dict[Term, MatArrow] = {}
         self.hits = 0
         self.misses = 0
@@ -82,11 +81,11 @@ class EvalContext:
     def sizes(self) -> dict[str, int]:
         """Number of entries in each cache."""
         return {"types": len(self.types), "objects": len(self.objects),
-                "families": len(self.families), "matrices": len(self.matrices)}
+                "matrices": len(self.matrices)}
 
     def clear(self) -> None:
         """Empty every cache and reset the counters."""
-        for cache in (self.types, self.objects, self.families, self.matrices):
+        for cache in (self.types, self.objects, self.matrices):
             cache.clear()
         self.hits = self.misses = 0
 
@@ -144,65 +143,6 @@ def _object_list(a: Obj, objects: dict[Obj, ObjList]) -> ObjList:
             return mc.tensor_obj(objects[left], objects[right])
         case OplusO(left, right):
             return mc.oplus_obj(objects[left], objects[right])
-    raise ValueError(f"not an object formula: {a!r}")
-
-
-# ---------------------------------------------------------------------------
-# injections and projections of an object formula
-
-
-@dataclass(frozen=True)
-class InjProjFamily:
-    obj: Obj
-    components: tuple[Obj, ...]
-    injections: tuple[Term, ...]
-    projections: tuple[Term, ...]
-
-
-def inj_proj(a: Obj, context: EvalContext | None = None) -> InjProjFamily:
-    """Sum-free components of a with their injection and projection terms.
-
-    Defined by induction on a: leaves are their own single component; a
-    tensor has the componentwise tensors in lexicographic order; a dual has
-    the transposed projections as injections and vice versa; a direct sum
-    concatenates, composed with the binary injections or projections.
-    """
-    ctx = context or default_context()
-    if a not in ctx.families:
-        for node in sx.subterms(a, ctx.families):
-            ctx.families[node] = _family(node, ctx.families, ctx)
-    return ctx.families[a]
-
-
-def _family(a: Obj, families: dict[Obj, InjProjFamily], ctx: EvalContext) -> InjProjFamily:
-    """Family of one node, given those of its subformulas."""
-    match a:
-        case ObjP() | ObjI() | ObjZero():
-            return InjProjFamily(a, (a,), (Id(a),), (Id(a),))
-        case TensorO(a1, a2):
-            f1, f2 = families[a1], families[a2]
-            n2 = len(f2.components)
-            comps, injs, projs = [], [], []
-            for i in range(len(f1.components) * n2):
-                i1, i2 = divmod(i, n2)
-                comps.append(TensorO(f1.components[i1], f2.components[i2]))
-                injs.append(Tens(f1.injections[i1], f2.injections[i2]))
-                projs.append(Tens(f1.projections[i1], f2.projections[i2]))
-            return InjProjFamily(a, tuple(comps), tuple(injs), tuple(projs))
-        case Star(a1):
-            f1 = families[a1]
-            comps = tuple(Star(c) for c in f1.components)
-            injs = tuple(sx.star_term(p, ctx.alphabet, ctx.types) for p in f1.projections)
-            projs = tuple(sx.star_term(i, ctx.alphabet, ctx.types) for i in f1.injections)
-            return InjProjFamily(a, comps, injs, projs)
-        case OplusO(a1, a2):
-            f1, f2 = families[a1], families[a2]
-            comps = f1.components + f2.components
-            injs = tuple(Comp(Iota1(a1, a2), i) for i in f1.injections)
-            injs += tuple(Comp(Iota2(a1, a2), i) for i in f2.injections)
-            projs = tuple(Comp(p, Pi1(a1, a2)) for p in f1.projections)
-            projs += tuple(Comp(p, Pi2(a1, a2)) for p in f2.projections)
-            return InjProjFamily(a, comps, injs, projs)
     raise ValueError(f"not an object formula: {a!r}")
 
 
@@ -296,21 +236,45 @@ class MatrixForm:
     entries: tuple[tuple[MatArrow, ...], ...]
 
 
+def _components(a: Obj) -> tuple[Obj, ...]:
+    """Sum-free components of an object formula, in the order of its object
+    list: a leaf is its own component, a tensor pairs its factors'
+    components in lexicographic order, a dual stars each component and a
+    direct sum concatenates."""
+    parts: dict[Obj, tuple[Obj, ...]] = {}
+    for node in sx.subterms(a):
+        match node:
+            case TensorO(left, right):
+                parts[node] = tuple(TensorO(x, y) for x in parts[left] for y in parts[right])
+            case Star(arg):
+                parts[node] = tuple(Star(x) for x in parts[arg])
+            case OplusO(left, right):
+                parts[node] = parts[left] + parts[right]
+            case _:
+                parts[node] = (node,)
+    return parts[a]
+
+
+def _blocks(components: tuple[Obj, ...], ctx: EvalContext) -> list[slice]:
+    """Where each component lies in the object list of their sum: a
+    sum-free object's list has length 0 or 1, and the block starts at the
+    total length of the blocks before it."""
+    ends = list(accumulate((len(interp_object(c, ctx)) for c in components), initial=0))
+    return [slice(start, end) for start, end in zip(ends, ends[1:])]
+
+
 def matrix_form(u: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> MatrixForm:
-    """The grid of values of proj_i o u o inj_j over the sum-free
-    components of u's endpoints."""
+    """H(u) cut into blocks between the sum-free components of u's
+    endpoints; block (i, j) is the value of proj_i o u o inj_j."""
     ctx = default_context(alphabet)
     src, tgt = sx.typecheck(u, ctx.alphabet, ctx.types)
-    fam_a = inj_proj(src, ctx)
-    fam_b = inj_proj(tgt, ctx)
-    rows = []
-    for i in range(len(fam_b.components)):
-        row = []
-        for j in range(len(fam_a.components)):
-            entry = Comp(fam_b.projections[i], Comp(u, fam_a.injections[j]))
-            row.append(H(entry, context=ctx))
-        rows.append(tuple(row))
-    return MatrixForm(fam_b.components, fam_a.components, tuple(rows))
+    value = H(u, context=ctx)
+    rows, cols = _components(tgt), _components(src)
+    entries = tuple(
+        tuple(mc.matarrow(value.src[c], value.tgt[r], [row[c] for row in value.entries[r]])
+              for c in _blocks(cols, ctx))
+        for r in _blocks(rows, ctx))
+    return MatrixForm(rows, cols, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,12 @@ class ProtocolReport:
     common: MatArrow | None
     diff_at: tuple[int, int] | None
     elapsed: float
+    legs: tuple[Term, Term]
 
 
 def verify(name: str) -> ProtocolReport:
-    """Parse both legs of a protocol and decide their equality."""
+    """Parse both legs of a protocol and decide their equality; the report
+    keeps the parsed legs."""
     start = time.perf_counter()
     left, right = legs(name)
     verdict = interp.equal(left, right, ALPHABET)
@@ -79,4 +81,5 @@ def verify(name: str) -> ProtocolReport:
         common=verdict.value if verdict.equal else None,
         diff_at=verdict.diff_at,
         elapsed=elapsed,
+        legs=(left, right),
     )

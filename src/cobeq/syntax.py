@@ -420,22 +420,6 @@ def _dagger_forms(t: Term, forms: dict[Term, tuple[Term, Term]]) -> tuple[Term, 
 
 
 # ---------------------------------------------------------------------------
-# the transpose composite
-
-
-def star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET,
-              types: dict[Term, tuple[Obj, Obj]] | None = None) -> Term:
-    """The transpose f*: b* -> a* as its defining composite; ``types`` is
-    handed to `typecheck`."""
-    a, b = typecheck(f, alphabet, types)
-    return Comp(Lam(Star(a)), Comp(SigmaT(Star(a), UNIT), Comp(
-        Tens(Id(Star(a)), Eps(b)), Comp(
-            AlphaInv(Star(a), b, Star(b)), Comp(
-                Tens(Tens(Id(Star(a)), f), Id(Star(b))), Comp(
-                    Tens(Eta(a), Id(Star(b))), LamInv(Star(b))))))))
-
-
-# ---------------------------------------------------------------------------
 # lexer
 
 
@@ -682,7 +666,12 @@ class _Parser:
         self.expect("GENS")
         names = []
         while self.tokens[self.pos][0] == "IDENT":
-            names.append(self.next()[1])
+            _, name, line, col = self.next()
+            # ``x`` lexes as the tensor in ``inv(x)``, and a primitive's
+            # name always parses as the primitive.
+            if name == "x" or name in _PRIM_ARITY:
+                raise ParseError(f"{name!r} cannot name a generator", line, col)
+            names.append(name)
         self.expect("SEMI")
         self.alphabet = Alphabet(tuple(names))
         checks: list[CheckStmt] = []

@@ -1,15 +1,18 @@
 """Constructions derived from the term, matrix and cobordism structure that
 only tests use: tuples and cotuples, names and conames, traces, the scalar
-action, the distributors, the derived isomorphisms and the operations on
-matrix forms.  The library keeps only what the decision procedure, the CLI
-and the protocols use.
+action, the distributors, the derived isomorphisms, the operations on
+matrix forms, the transpose composite and the injection/projection families
+with the matrix form built from them as terms.  The library keeps only what
+the decision procedure, the CLI and the protocols use.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 
 from cobeq import cobordism as cob
+from cobeq import interp
 from cobeq import matcat as mc
 from cobeq import syntax as sx
 from cobeq.cobordism import O, SRC, TGT, GCob, Point, Segment, TypeMismatch
@@ -18,8 +21,8 @@ from cobeq.interp import MatrixForm, interp_object
 from cobeq.matcat import MatArrow, ObjList, UNIT
 from cobeq.syntax import (
     Alpha, AlphaInv, Comp, Dagger, Direct, Eps, Eta, Id, Iota1, Iota2, Lam,
-    LamInv, Obj, OplusO, Pi1, Pi2, Plus, SigmaT, Star, Tens, TensorO, Term,
-    TypeCheckError, typecheck,
+    LamInv, Obj, ObjI, ObjP, ObjZero, OplusO, Pi1, Pi2, Plus, SigmaT, Star,
+    Tens, TensorO, Term, TypeCheckError, typecheck,
 )
 
 
@@ -212,7 +215,19 @@ def coname_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
 
 def lower_star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
     """f_* = (f dagger)*: a* -> b*."""
-    return sx.star_term(Dagger(f), alphabet)
+    return star_term(Dagger(f), alphabet)
+
+
+def star_term(f: Term, alphabet: Alphabet = DEFAULT_ALPHABET,
+              types: dict[Term, tuple[Obj, Obj]] | None = None) -> Term:
+    """The transpose f*: b* -> a* as its defining composite; ``types`` is
+    handed to `typecheck`."""
+    a, b = typecheck(f, alphabet, types)
+    return Comp(Lam(Star(a)), Comp(SigmaT(Star(a), sx.UNIT), Comp(
+        Tens(Id(Star(a)), Eps(b)), Comp(
+            AlphaInv(Star(a), b, Star(b)), Comp(
+                Tens(Tens(Id(Star(a)), f), Id(Star(b))), Comp(
+                    Tens(Eta(a), Id(Star(b))), LamInv(Star(b))))))))
 
 
 def tuple_term(parts: list[Term], alphabet: Alphabet = DEFAULT_ALPHABET) -> Term:
@@ -343,3 +358,78 @@ def w_term(a: Obj) -> Term:
         LamInv(ass),
     ]
     return reduce(Comp, steps)
+
+
+# ---------------------------------------------------------------------------
+# injections and projections, and the matrix form built from them
+
+
+@dataclass(frozen=True)
+class InjProjFamily:
+    obj: Obj
+    components: tuple[Obj, ...]
+    injections: tuple[Term, ...]
+    projections: tuple[Term, ...]
+
+
+def inj_proj(a: Obj, alphabet: Alphabet = DEFAULT_ALPHABET,
+             types: dict[Term, tuple[Obj, Obj]] | None = None) -> InjProjFamily:
+    """Sum-free components of a with their injection and projection terms.
+
+    Defined by induction on a: leaves are their own single component; a
+    tensor has the componentwise tensors in lexicographic order; a dual has
+    the transposed projections as injections and vice versa; a direct sum
+    concatenates, composed with the binary injections or projections.
+    ``types`` is handed to `typecheck` when the transposes are built.
+    """
+    families: dict[Obj, InjProjFamily] = {}
+    for node in sx.subterms(a):
+        families[node] = _family(node, families, alphabet, types)
+    return families[a]
+
+
+def _family(a: Obj, families: dict[Obj, InjProjFamily], alphabet: Alphabet,
+            types: dict[Term, tuple[Obj, Obj]] | None) -> InjProjFamily:
+    """Family of one node, given those of its subformulas."""
+    match a:
+        case ObjP() | ObjI() | ObjZero():
+            return InjProjFamily(a, (a,), (Id(a),), (Id(a),))
+        case TensorO(a1, a2):
+            f1, f2 = families[a1], families[a2]
+            n2 = len(f2.components)
+            comps, injs, projs = [], [], []
+            for i in range(len(f1.components) * n2):
+                i1, i2 = divmod(i, n2)
+                comps.append(TensorO(f1.components[i1], f2.components[i2]))
+                injs.append(Tens(f1.injections[i1], f2.injections[i2]))
+                projs.append(Tens(f1.projections[i1], f2.projections[i2]))
+            return InjProjFamily(a, tuple(comps), tuple(injs), tuple(projs))
+        case Star(a1):
+            f1 = families[a1]
+            comps = tuple(Star(c) for c in f1.components)
+            injs = tuple(star_term(p, alphabet, types) for p in f1.projections)
+            projs = tuple(star_term(i, alphabet, types) for i in f1.injections)
+            return InjProjFamily(a, comps, injs, projs)
+        case OplusO(a1, a2):
+            f1, f2 = families[a1], families[a2]
+            comps = f1.components + f2.components
+            injs = tuple(Comp(Iota1(a1, a2), i) for i in f1.injections)
+            injs += tuple(Comp(Iota2(a1, a2), i) for i in f2.injections)
+            projs = tuple(Comp(p, Pi1(a1, a2)) for p in f1.projections)
+            projs += tuple(Comp(p, Pi2(a1, a2)) for p in f2.projections)
+            return InjProjFamily(a, comps, injs, projs)
+    raise ValueError(f"not an object formula: {a!r}")
+
+
+def term_matrix_form(u: Term, alphabet: Alphabet = DEFAULT_ALPHABET) -> MatrixForm:
+    """The matrix form as terms: the grid of values of proj_i o u o inj_j
+    over the sum-free components of u's endpoints, each cell evaluated on
+    its own.  The reference for `interp.matrix_form`, which slices H(u)."""
+    ctx = interp.default_context(alphabet)
+    src, tgt = typecheck(u, ctx.alphabet, ctx.types)
+    fam_a = inj_proj(src, ctx.alphabet, ctx.types)
+    fam_b = inj_proj(tgt, ctx.alphabet, ctx.types)
+    entries = tuple(
+        tuple(interp.H(Comp(p, Comp(u, i)), context=ctx) for i in fam_a.injections)
+        for p in fam_b.projections)
+    return MatrixForm(fam_b.components, fam_a.components, entries)

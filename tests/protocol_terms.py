@@ -122,7 +122,7 @@ def superdense_legs() -> tuple[Term, Term]:
                     dv.upsilon_n([QS] * 4, Q))
 
     four_bell = dv.nfold_obj(TensorO(Q, QS), 4)
-    projections = interp.inj_proj(four_bell).projections
+    projections = dv.inj_proj(four_bell).projections
     observe = dv.tuple_term([
         Comp(dv.coname_term(beta(j)), projections[i])
         for i in range(4)

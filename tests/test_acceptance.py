@@ -83,7 +83,7 @@ def test_criterion_3_injection_projection_identities():
     rng = random.Random(SEED + 3)
     for k in range(200):
         a = gl.rand_obj(rng, 4)
-        fam = interp.inj_proj(a)
+        fam = dv.inj_proj(a)
         n = len(fam.components)
         for i in range(n):
             for j in range(n):

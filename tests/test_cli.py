@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from cobeq import cli
+from cobeq import interp
+from cobeq import matcat as mc
 from cobeq import protocols
 from cobeq import syntax as sx
 
@@ -132,6 +134,37 @@ def test_protocol_with_oracle(capsys):
     assert cli.main(["protocol", "teleportation", "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "oracle agrees" in out
+
+
+def test_protocol_oracle_parses_each_source_once(monkeypatch, capsys):
+    parsed = []
+    parse = sx.parse_document
+    monkeypatch.setattr(sx, "parse_document", lambda text: parsed.append(text) or parse(text))
+    assert cli.main(["protocol", "all", "--oracle"]) == 0
+    assert capsys.readouterr().out.count("oracle agrees") == len(protocols.PROTOCOL_NAMES)
+    assert parsed == [protocols.ccc_source(name) for name in protocols.PROTOCOL_NAMES]
+
+
+def test_unexpected_errors_exit_three(corpus, monkeypatch, capsys):
+    # Exit 1 means "refuted", so an error the front end does not name, such
+    # as running out of memory or a failed internal check, exits 3 with one
+    # error line and no traceback.
+    path = corpus("good.ccc", "gens b1;\ncheck b1 . inv(b1) == id[p];\n")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    faults = [(interp, "equal", out_of_memory),
+              (interp, "_eval", lambda t, ctx: mc.identity(mc.UNIT))]
+    for module, name, fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            assert cli.main(["check", path]) == 3
+        captured = capsys.readouterr()
+        assert "EQUAL" not in captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+    assert line.startswith("error: AssertionError: the matrix of a ")
 
 
 def test_protocol_unknown(capsys):

@@ -101,6 +101,10 @@ ERRORS = [
     ("document", "gens b1;\n# c\n  check b1 == b1;;", "expected 'let' or 'check'", 3, 18),
     ("document", "gens b1;\nlet x = b1;\ncheck x == y;", "unknown name 'y'", 3, 12),
 ]
+# ``inv(x)`` lexes ``(x)`` as the tensor, and a primitive's name always parses
+# as the primitive, so no term could use these as generators.
+ERRORS += [("document", f"gens b1 {name};", f"{name!r} cannot name a generator", 1, 9)
+           for name in ["x", *sorted(sx._PRIM_ARITY)]]
 
 
 @pytest.mark.parametrize("parser, text, message, line, col", ERRORS)
@@ -109,6 +113,12 @@ def test_parse_error(parser, text, message, line, col):
         PARSERS[parser](text)
     assert (str(err.value), err.value.line, err.value.col) == (f"{line}:{col}: {message}",
                                                                line, col)
+
+
+def test_gens_accepts_names_that_only_start_like_reserved_ones():
+    # Only ``x`` and the primitives' names are refused (see ERRORS).
+    doc = sx.parse_document("gens xs ids;\ncheck inv(xs) . xs == ids . inv(ids);")
+    assert doc.alphabet.names == ("xs", "ids") and len(doc.checks) == 1
 
 
 def _tokens(text):

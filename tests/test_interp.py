@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from cobeq import interp
 from cobeq import matcat as mc
 from cobeq import syntax as sx
 from cobeq.freegroup import Alphabet, DEFAULT_ALPHABET
-from cobeq.interp import H, inj_proj, interp_object, matrix_form
+from cobeq.interp import H, interp_object, matrix_form
 from cobeq.syntax import (
     Comp, Gen, Id, Iota1, Iota2, NULL, OplusO, P, Pi1, Pi2, Star, Tens,
     TensorO, UNIT,
@@ -30,7 +31,7 @@ def test_interp_object_examples():
 def test_inj_proj_left_table():
     # object (p (+) I) (+) 0, three sum-free components
     a = OplusO(OplusO(P, UNIT), NULL)
-    fam = inj_proj(a)
+    fam = dv.inj_proj(a)
     assert fam.components == (P, UNIT, NULL)
     pI = OplusO(P, UNIT)
     table_inj = [
@@ -54,23 +55,23 @@ def test_inj_proj_right_table():
     p0 = OplusO(P, NULL)
     left = OplusO(p0, P)
     b = TensorO(left, Star(OplusO(UNIT, P)))
-    fam = inj_proj(b)
+    fam = dv.inj_proj(b)
     assert len(fam.components) == 6
     table_inj = [
-        Tens(Comp(Iota1(p0, P), Iota1(P, NULL)), sx.star_term(Pi1(UNIT, P))),
-        Tens(Comp(Iota1(p0, P), Iota1(P, NULL)), sx.star_term(Pi2(UNIT, P))),
-        Tens(Comp(Iota1(p0, P), Iota2(P, NULL)), sx.star_term(Pi1(UNIT, P))),
-        Tens(Comp(Iota1(p0, P), Iota2(P, NULL)), sx.star_term(Pi2(UNIT, P))),
-        Tens(Iota2(p0, P), sx.star_term(Pi1(UNIT, P))),
-        Tens(Iota2(p0, P), sx.star_term(Pi2(UNIT, P))),
+        Tens(Comp(Iota1(p0, P), Iota1(P, NULL)), dv.star_term(Pi1(UNIT, P))),
+        Tens(Comp(Iota1(p0, P), Iota1(P, NULL)), dv.star_term(Pi2(UNIT, P))),
+        Tens(Comp(Iota1(p0, P), Iota2(P, NULL)), dv.star_term(Pi1(UNIT, P))),
+        Tens(Comp(Iota1(p0, P), Iota2(P, NULL)), dv.star_term(Pi2(UNIT, P))),
+        Tens(Iota2(p0, P), dv.star_term(Pi1(UNIT, P))),
+        Tens(Iota2(p0, P), dv.star_term(Pi2(UNIT, P))),
     ]
     table_proj = [
-        Tens(Comp(Pi1(P, NULL), Pi1(p0, P)), sx.star_term(Iota1(UNIT, P))),
-        Tens(Comp(Pi1(P, NULL), Pi1(p0, P)), sx.star_term(Iota2(UNIT, P))),
-        Tens(Comp(Pi2(P, NULL), Pi1(p0, P)), sx.star_term(Iota1(UNIT, P))),
-        Tens(Comp(Pi2(P, NULL), Pi1(p0, P)), sx.star_term(Iota2(UNIT, P))),
-        Tens(Pi2(p0, P), sx.star_term(Iota1(UNIT, P))),
-        Tens(Pi2(p0, P), sx.star_term(Iota2(UNIT, P))),
+        Tens(Comp(Pi1(P, NULL), Pi1(p0, P)), dv.star_term(Iota1(UNIT, P))),
+        Tens(Comp(Pi1(P, NULL), Pi1(p0, P)), dv.star_term(Iota2(UNIT, P))),
+        Tens(Comp(Pi2(P, NULL), Pi1(p0, P)), dv.star_term(Iota1(UNIT, P))),
+        Tens(Comp(Pi2(P, NULL), Pi1(p0, P)), dv.star_term(Iota2(UNIT, P))),
+        Tens(Pi2(p0, P), dv.star_term(Iota1(UNIT, P))),
+        Tens(Pi2(p0, P), dv.star_term(Iota2(UNIT, P))),
     ]
     for built, table in zip(fam.injections, table_inj):
         assert H(built) == H(table)
@@ -80,7 +81,7 @@ def test_inj_proj_right_table():
 
 def test_inj_proj_sum_free_collapses():
     a = TensorO(P, Star(P))
-    fam = inj_proj(a)
+    fam = dv.inj_proj(a)
     assert len(fam.components) == 1
     assert H(fam.injections[0]) == mc.identity(interp_object(a))
     assert H(fam.projections[0]) == mc.identity(interp_object(a))
@@ -90,7 +91,7 @@ def test_component_count_matches_interp_for_zero_free_objects():
     rng = random.Random(SEED)
     for _ in range(60):
         a = gl.rand_obj(rng, 3, allow_zero=False)
-        fam = inj_proj(a)
+        fam = dv.inj_proj(a)
         assert len(fam.components) == len(interp_object(a))
 
 
@@ -117,7 +118,7 @@ def test_prop_52_random():
     rng = random.Random(SEED + 1)
     for _ in range(40):
         a = gl.rand_obj(rng, 3)
-        fam = inj_proj(a)
+        fam = dv.inj_proj(a)
         n = len(fam.components)
         # orthogonality
         for i in range(n):
@@ -139,7 +140,7 @@ def test_injection_single_nonzero_column():
     rng = random.Random(SEED + 2)
     for _ in range(30):
         a = gl.rand_obj(rng, 3, allow_zero=False)
-        fam = inj_proj(a)
+        fam = dv.inj_proj(a)
         offset = 0
         for i, comp in enumerate(fam.components):
             width = len(interp_object(comp))
@@ -169,12 +170,31 @@ def test_matrix_form_sum_free_is_H():
     while checked < 20:
         a = gl.rand_obj(rng, 2, allow_zero=False)
         b = gl.rand_obj(rng, 2, allow_zero=False)
-        if interp.inj_proj(a).components != (a,) or interp.inj_proj(b).components != (b,):
+        if dv.inj_proj(a).components != (a,) or dv.inj_proj(b).components != (b,):
             continue
         t = gl.rand_term(rng, a, b, 3)
         form = matrix_form(t)
         assert form.entries == ((H(t),),)
         checked += 1
+
+
+def test_matrix_form_slices_match_the_term_built_form():
+    # Each block of H(u) is the value of proj_i o u o inj_j built and
+    # evaluated as a term, on seeded terms whose endpoints may hold 0 and on
+    # every let and check side of the corpus and the biproduct file.
+    rng = random.Random(SEED + 11)
+    with_zero = 0
+    for _ in range(300):
+        u = gl.rand_any_term(rng, 3)
+        assert matrix_form(u) == dv.term_matrix_form(u)
+        with_zero += any(NULL in sx.subterms(a) for a in sx.typecheck(u))
+    assert with_zero >= 50
+    here = Path(__file__).parent
+    for path in sorted((here.parent / "corpus").glob("*.ccc")) + [here / "biproducts.ccc"]:
+        doc = sx.parse_document(path.read_text(encoding="utf-8"))
+        sides = [t for check in doc.checks for t in (check.left, check.right)]
+        for u in [*doc.lets.values(), *sides]:
+            assert matrix_form(u, doc.alphabet) == dv.term_matrix_form(u, doc.alphabet)
 
 
 def test_matrix_form_functorial_composition():
@@ -244,7 +264,7 @@ def test_star_term_matches_matrix_star():
     for _ in range(60):
         a, b = gl.rand_obj(rng, 2), gl.rand_obj(rng, 2)
         f = gl.rand_term(rng, a, b, 3)
-        assert H(sx.star_term(f)) == mc.star(H(f))
+        assert H(dv.star_term(f)) == mc.star(H(f))
 
 
 def test_lower_star_term_matches_dagger_star():
@@ -263,12 +283,12 @@ def test_tuple_term_universal_property():
         parts = [gl.rand_term(rng, src, gl.rand_obj(rng, 2), 2) for _ in range(3)]
         tup = dv.tuple_term(parts)
         _, target = sx.typecheck(tup)
-        fam = inj_proj(target)
+        fam = dv.inj_proj(target)
         offsets = [0]
         for p in parts:
-            offsets.append(offsets[-1] + len(inj_proj(sx.typecheck(p)[1]).components))
+            offsets.append(offsets[-1] + len(dv.inj_proj(sx.typecheck(p)[1]).components))
         for idx, part in enumerate(parts):
-            part_fam = inj_proj(sx.typecheck(part)[1])
+            part_fam = dv.inj_proj(sx.typecheck(part)[1])
             for k in range(len(part_fam.components)):
                 proj = fam.projections[offsets[idx] + k]
                 recovered = H(Comp(proj, tup))
@@ -342,11 +362,11 @@ def test_a_context_evaluates_under_its_own_alphabet():
 
 
 def test_inj_proj_types_in_the_context():
-    # The transposes of a dual's components are typed into the context's
-    # memo, so later typing of their entries is a lookup.
-    context = interp.EvalContext()
-    inner = inj_proj(OplusO(P, UNIT), context)
+    # The transposes of a dual's components are typed into the memo handed
+    # to the helper, so later typing of their entries is a lookup.
+    types = {}
+    inner = dv.inj_proj(OplusO(P, UNIT), types=types)
     parts = inner.injections + inner.projections
-    assert not any(t in context.types for t in parts)
-    inj_proj(Star(OplusO(P, UNIT)), context)
-    assert all(t in context.types for t in parts)
+    assert not any(t in types for t in parts)
+    dv.inj_proj(Star(OplusO(P, UNIT)), types=types)
+    assert all(t in types for t in parts)

@@ -186,7 +186,7 @@ def test_derived_builders_typecheck():
     f = Gen("b1")
     assert sx.typecheck(dv.name_term(f)) == (UNIT, TensorO(Star(P), P))
     assert sx.typecheck(dv.coname_term(f)) == (TensorO(P, Star(P)), UNIT)
-    assert sx.typecheck(sx.star_term(f)) == (Star(P), Star(P))
+    assert sx.typecheck(dv.star_term(f)) == (Star(P), Star(P))
     assert sx.typecheck(dv.lower_star_term(f)) == (Star(P), Star(P))
     assert sx.typecheck(dv.trace_term(f)) == (UNIT, UNIT)
     tup = dv.tuple_term([Id(P)] * 3)
